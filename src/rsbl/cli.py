@@ -6,8 +6,9 @@ Usage::
                    [--quick|--full]
 
 Commands: table1, cluster-robustness, bound-verify, probe, sandwich,
-lowrank. Flags override config-file values, which override the built-in
-per-command defaults; ``RSBL_OUT`` sets the default output directory. The
+lowrank. Flags override config-file values, and every key a config file
+sets overrides the built-in per-command default; ``RSBL_OUT`` sets the
+default output directory. The
 exit code is 0 exactly when every hard assertion (holds rates at 100%,
 all cells converged) passed; on failure a machine-readable summary goes to
 standard error.
@@ -88,26 +89,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args) -> ExperimentConfig:
-    overrides = dict(_DEFAULTS[args.command])
+    # later layers win: command defaults, $RSBL_OUT, the file's keys, flags
+    values = dict(_DEFAULTS[args.command])
+    env_out = os.environ.get("RSBL_OUT")
+    if env_out:
+        values["out_dir"] = env_out
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            file_config = ExperimentConfig.from_text(fh.read())
-        config = file_config
-        for key, value in overrides.items():
-            # command defaults fill only fields the file left at class defaults
-            if getattr(config, key) == getattr(ExperimentConfig, key):
-                setattr(config, key, value)
-    else:
-        config = ExperimentConfig(**overrides)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.trials is not None:
-        config.trials = args.trials
-    env_out = os.environ.get("RSBL_OUT")
-    if args.out:
-        config.out_dir = args.out
-    elif env_out and config.out_dir == ExperimentConfig.out_dir:
-        config.out_dir = env_out
+            values.update(ExperimentConfig.values_from_text(fh.read()))
+    flags = {"seed": args.seed, "trials": args.trials, "out_dir": args.out or None}
+    values.update((key, value) for key, value in flags.items() if value is not None)
+    config = ExperimentConfig(**values)
     if args.quick:
         config.mode = "quick"
     if args.full:

@@ -67,6 +67,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_text(cls, text: str) -> "ExperimentConfig":
+        return cls(**cls.values_from_text(text))
+
+    @classmethod
+    def values_from_text(cls, text: str) -> dict:
+        """Typed values of exactly the keys the text sets."""
         values = {}
         for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.split("#", 1)[0].strip()
@@ -82,7 +87,7 @@ class ExperimentConfig:
             if key not in known:
                 raise ValueError(f"unknown configuration key {key!r}")
             kwargs[key] = _parse_value(value, getattr(cls, key))
-        return cls(**kwargs)
+        return kwargs
 
     def canonical_key(self, *extra) -> str:
         # presentation-only fields must not perturb derived sample streams

@@ -18,7 +18,6 @@ import numpy as np
 from .linalg import (
     SingularMatrixError,
     as_matrix,
-    smallest_singular,
     solve_linear,
     spectral_norm,
 )
@@ -113,7 +112,8 @@ class NodeSet:
                 raise DimensionMismatchError("all nodes must share one block size")
             if not np.isfinite(lam).all():
                 raise ValueError("node spectrum contains non-finite entries")
-            if smallest_singular(om) <= 1e-12 * spectral_norm(om):
+            sv = np.linalg.svd(om, compute_uv=False)
+            if sv[-1] <= 1e-12 * sv[0]:
                 raise SingularMatrixError("eigenvector matrix fails the 1e-12 gate")
         for i in range(len(lams)):
             for j in range(i + 1, len(lams)):
@@ -260,8 +260,8 @@ def solvent_chain(nodes: NodeSet, k: int) -> SolventChain:
             acc = b_p[i] @ acc - acc @ b_hats[j]
             partials[(i, j)] = acc
         s_full[i] = acc
-        scale = spectral_norm(acc)
-        if scale == 0.0 or smallest_singular(acc) < 1e-12 * scale:
+        sv = np.linalg.svd(as_matrix(acc, "chain product"), compute_uv=False)
+        if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
             raise ChainBreakdownError(i)
         omega_hats[i] = om_p[i] @ acc
         if b == 1:
@@ -293,18 +293,36 @@ def solvent_chain(nodes: NodeSet, k: int) -> SolventChain:
     )
 
 
-def fundamental_via_chain(chain: SolventChain, lam: float) -> np.ndarray:
-    """Evaluate the chain form of the fundamental polynomial at a scalar.
+def fundamental_via_chain(chain: SolventChain, lam) -> np.ndarray:
+    """Evaluate the chain form of the fundamental polynomial at scalars.
 
-    The factors ``(lam I - b_hats[i])`` multiply left-to-right from the last
-    position down to position 1, then the inverse head product is applied.
+    A scalar ``lam`` gives one b-by-b value; a 1-D array of G points gives a
+    (G, b, b) stack. The factors ``(lam I - b_hats[i])`` multiply
+    left-to-right from the last position down to position 1, then the
+    inverse head product is applied. Every point of a stack goes through
+    the same products in the same order as a scalar call.
     """
-    b, d = chain.b, chain.d
-    eye = np.eye(b)
-    acc = eye
-    for i in range(d - 1, 0, -1):
-        acc = acc @ (lam * eye - chain.b_hats[i])
+    lam = np.asarray(lam, dtype=np.float64)
+    if lam.ndim > 1:
+        raise ValueError(f"lam must be a scalar or a 1-D array, got shape {lam.shape}")
+    eye = np.eye(chain.b)
+    shifts = lam[..., None, None] * eye
+    acc = np.broadcast_to(eye, shifts.shape)
+    for i in range(chain.d - 1, 0, -1):
+        acc = acc @ (shifts - chain.b_hats[i])
     return acc @ chain.s_head_inv
+
+
+def fundamental_norms(chains, lams) -> np.ndarray:
+    """Spectral norms ``||F_k(lam)||`` as a (chains, points) array.
+
+    Each chain is evaluated on the whole 1-D grid as one stack, and one
+    batched SVD gives all norms. Non-finite values raise ValueError.
+    """
+    values = np.stack([fundamental_via_chain(chain, lams) for chain in chains])
+    if not np.isfinite(values).all():
+        raise ValueError("fundamental polynomial values contain NaN or Inf entries")
+    return np.linalg.svd(values, compute_uv=False)[..., 0]
 
 
 def solvent_residual(p: MatrixPolynomial, b_mat) -> float:
@@ -403,14 +421,14 @@ def growth_bound_check(chains, interval, lam_samples, rel_tol: float = 1e-10):
     lo, hi = float(interval[0]), float(interval[1])
     chi_mono, chi_coef = chi_quantities(nodes, chains, interval)
     gap = nodes.min_gap()
+    lams = np.asarray(lam_samples, dtype=np.float64).reshape(-1)
+    inside = (lo <= lams) & (lams <= hi)
+    if inside.any():
+        raise ValueError(f"sample {float(lams[inside][0])} lies inside the interval")
+    norms = fundamental_norms(chains, lams).max(axis=0)
     out = []
-    for lam in lam_samples:
-        lam = float(lam)
-        if lo <= lam <= hi:
-            raise ValueError(f"sample {lam} lies inside the interval")
-        lhs = max(
-            spectral_norm(fundamental_via_chain(chain, lam)) for chain in chains
-        ) ** (1.0 / (d - 1))
+    for lam, norm in zip(lams.tolist(), norms.tolist()):
+        lhs = norm ** (1.0 / (d - 1))
         rhs = max(hi - lam, lam - lo) / gap * chi_mono * chi_coef
         out.append(GrowthSample(lam, lhs, rhs, lhs <= rhs * (1.0 + rel_tol)))
     return out

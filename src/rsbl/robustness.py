@@ -31,7 +31,7 @@ from .matpoly import (
     SingularVandermondeError,
     block_vandermonde,
     chi_quantities,
-    fundamental_via_chain,
+    fundamental_norms,
     solvent_chain,
 )
 
@@ -162,16 +162,13 @@ def tan_angle_krylov(spec: ClusterSpec, omega, steps: int) -> float:
 
 
 def _perp_vandermonde(spec: ClusterSpec, blocks) -> np.ndarray:
-    rows = []
-    for lam, om in zip(spec.perp_lambda_blocks(), blocks[spec.d:]):
-        b_mat = np.linalg.solve(om, lam[:, None] * om)
-        power = np.eye(spec.b)
-        row = [power]
-        for _ in range(spec.d - 1):
-            power = power @ b_mat
-            row.append(power)
-        rows.append(np.hstack(row))
-    return np.vstack(rows)
+    lams = np.stack(spec.perp_lambda_blocks())
+    oms = np.stack(blocks[spec.d:])
+    b_mats = np.linalg.solve(oms, lams[:, :, None] * oms)
+    powers = [np.broadcast_to(np.eye(spec.b), b_mats.shape)]
+    for _ in range(spec.d - 1):
+        powers.append(powers[-1] @ b_mats)
+    return np.concatenate(powers, axis=2).reshape(-1, spec.b * spec.d)
 
 
 def _block_diag(blocks) -> np.ndarray:
@@ -182,7 +179,19 @@ def _block_diag(blocks) -> np.ndarray:
     return out
 
 
-def tan_angle_vandermonde(spec: ClusterSpec, omega, nodes: NodeSet | None = None) -> float:
+def _vandermonde_route(spec: ClusterSpec, blocks, nodes: NodeSet):
+    """Return ``(tangent, Van, K)`` of the explicit factorization route."""
+    van = block_vandermonde(nodes)
+    k_mat = _block_diag(blocks[: spec.d]) @ van
+    k_perp = _block_diag(blocks[spec.d:]) @ _perp_vandermonde(spec, blocks)
+    svals = np.linalg.svd(k_mat, compute_uv=False)
+    if svals[0] == 0.0 or svals[-1] < 1e-14 * svals[0]:
+        raise SingularKError("leading Krylov block fails the 1e-14 gate")
+    coeffs = np.linalg.solve(k_mat.T, k_perp.T)
+    return spectral_norm(coeffs.T), van, k_mat
+
+
+def tan_angle_vandermonde(spec: ClusterSpec, omega) -> float:
     """Tangent of the largest principal angle via the explicit factorization.
 
     The leading rows of the Krylov matrix factor as ``K = D * Van`` with D
@@ -192,16 +201,8 @@ def tan_angle_vandermonde(spec: ClusterSpec, omega, nodes: NodeSet | None = None
     ``||K_perp @ inv(K)||``.
     """
     blocks = spec.omega_blocks(omega)
-    if nodes is None:
-        nodes = NodeSet(spec.lambda_blocks, tuple(blocks[: spec.d]))
-    van = block_vandermonde(nodes)
-    k_mat = _block_diag(blocks[: spec.d]) @ van
-    k_perp = _block_diag(blocks[spec.d:]) @ _perp_vandermonde(spec, blocks)
-    svals = np.linalg.svd(k_mat, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] < 1e-14 * svals[0]:
-        raise SingularKError("leading Krylov block fails the 1e-14 gate")
-    coeffs = np.linalg.solve(k_mat.T, k_perp.T)
-    return spectral_norm(coeffs.T)
+    nodes = NodeSet(spec.lambda_blocks, tuple(blocks[: spec.d]))
+    return _vandermonde_route(spec, blocks, nodes)[0]
 
 
 def c_omega(spec: ClusterSpec, omega) -> float:
@@ -217,13 +218,13 @@ def c_omega(spec: ClusterSpec, omega) -> float:
     m = spec.block_count()
     if m <= spec.d:
         raise ValueError("need at least one out-of-cluster block (m > d)")
-    svals = [np.linalg.svd(blk, compute_uv=False) for blk in blocks]
-    for sv in svals:
-        if sv[0] == 0.0 or sv[-1] < 1e-14 * sv[0]:
-            raise SingularBlockError("partition block fails the 1e-14 gate")
-    inv_lead = max(1.0 / sv[-1] for sv in svals[: spec.d])
-    norm_tail = max(sv[0] for sv in svals[spec.d:])
-    cond_tail = max(sv[0] / sv[-1] for sv in svals[spec.d:])
+    svals = np.linalg.svd(np.stack(blocks), compute_uv=False)
+    top, low = svals[:, 0], svals[:, -1]
+    if np.any(top == 0.0) or np.any(low < 1e-14 * top):
+        raise SingularBlockError("partition block fails the 1e-14 gate")
+    inv_lead = (1.0 / low[: spec.d]).max()
+    norm_tail = top[spec.d:].max()
+    cond_tail = (top[spec.d:] / low[spec.d:]).max()
     return math.sqrt(spec.d * spec.n - spec.b * spec.d**2) * inv_lead * norm_tail * cond_tail
 
 
@@ -255,11 +256,7 @@ def growth_Gd(spec: ClusterSpec, chains, grid_size: int = 1000) -> float:
     samples = outside_grid(spec, grid_size)
     if samples.size == 0:
         raise ValueError("no sample points outside the cluster interval")
-    best = 0.0
-    for chain in chains:
-        for lam in samples:
-            best = max(best, spectral_norm(fundamental_via_chain(chain, float(lam))))
-    return best
+    return float(fundamental_norms(chains, samples).max())
 
 
 @dataclass(frozen=True)
@@ -313,7 +310,7 @@ def structural_bound_trial(
             blocks = spec.omega_blocks(omega)
             nodes = NodeSet(spec.lambda_blocks, tuple(blocks[: spec.d]))
             chains = tuple(solvent_chain(nodes, k) for k in range(spec.d))
-            tan_van = tan_angle_vandermonde(spec, omega, nodes=nodes)
+            tan_van, van, k_mat = _vandermonde_route(spec, blocks, nodes)
         except _RESAMPLE_ERRORS as exc:
             last_exc = exc
             continue
@@ -327,8 +324,6 @@ def structural_bound_trial(
             chi_mono, chi_coef = 1.0, 1.0
         g_d = growth_Gd(spec, chains, grid_size)
         bound = c_om * g_d
-        van = block_vandermonde(nodes)
-        k_mat = _block_diag(blocks[: spec.d]) @ van
         return RobustnessReport(
             seed=seed,
             tan_angle_krylov=tan_kry,

@@ -7,7 +7,8 @@ ones.
 """
 import numpy as np
 
-from rsbl.matpoly import MatrixPolynomial, NodeSet
+from rsbl.linalg import spectral_norm
+from rsbl.matpoly import MatrixPolynomial, NodeSet, fundamental_via_chain
 
 
 def naive_eval(p: MatrixPolynomial, x: np.ndarray) -> np.ndarray:
@@ -56,6 +57,16 @@ def eval_lambda_grid(p: MatrixPolynomial, lams: np.ndarray) -> np.ndarray:
     for c in p.coeffs[-2::-1]:
         acc = c[None, :, :] + lams[:, None, None] * acc
     return acc
+
+
+def fundamental_norms_loop(chains, lams) -> np.ndarray:
+    """Per-point reference for the batched norm grid, as a (chains, points) array.
+
+    One scalar chain evaluation and one spectral norm per (chain, point).
+    """
+    return np.array(
+        [[spectral_norm(fundamental_via_chain(chain, float(lam))) for lam in lams] for chain in chains]
+    )
 
 
 def random_cluster_spec(rng, b: int, d: int, m: int = 16):

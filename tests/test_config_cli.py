@@ -136,6 +136,25 @@ def test_cli_table1_single_cell_from_config(tmp_path):
     assert 60 <= count <= 90  # single-vector run lands near the reference count
 
 
+def test_cli_config_file_keys_beat_command_defaults(tmp_path):
+    # trials = 5 equals the class default; the file must still win over bound-verify's 20
+    config_path = tmp_path / "cfg.txt"
+    config_path.write_text("b_list = 1\nd_list = 2\ntrials = 5\n")
+    code = main(["bound-verify", "--config", str(config_path), "--out", str(tmp_path)])
+    assert code == 0
+    assert len((tmp_path / "bound_reports.csv").read_text().splitlines()) == 1 + 5
+
+
+def test_cli_config_file_out_dir_beats_env(tmp_path, monkeypatch):
+    # out_dir = out equals the class default; the file must still win over RSBL_OUT
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("RSBL_OUT", str(tmp_path / "envout"))
+    (tmp_path / "cfg.txt").write_text("out_dir = out\n")
+    assert main(["probe", "--trials", "20", "--config", "cfg.txt"]) == 0
+    assert (tmp_path / "out" / "probe_quantiles.csv").exists()
+    assert not (tmp_path / "envout").exists()
+
+
 def test_cli_cluster_robustness_smoke(tmp_path):
     code = main(["cluster-robustness", "--trials", "2", "--out", str(tmp_path)])
     assert code == 0

@@ -3,11 +3,13 @@ import pytest
 
 from helpers import (
     eigenhull_bound_pair,
+    fundamental_norms_loop,
     lagrange_scalar,
     naive_eval,
     random_nodeset,
     random_polynomial,
 )
+from rsbl.linalg import SingularMatrixError
 from rsbl.matpoly import (
     ChainBreakdownError,
     DegenerateEndpointError,
@@ -122,6 +124,39 @@ def test_chain_d2_closed_form():
     lam = 0.37
     expected = (lam * np.eye(2) - b2) @ np.linalg.inv(b1 - b2)
     assert np.allclose(fundamental_via_chain(chain, lam), expected, atol=1e-10)
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_chain_grid_matches_scalar_calls(b, d):
+    rng = np.random.default_rng(100 + 10 * b + d)
+    nodes = random_nodeset(rng, b, d)
+    lams = np.linspace(-2.0, 4.0, 37)
+    for k in range(d):
+        chain = solvent_chain(nodes, k)
+        stack = fundamental_via_chain(chain, lams)
+        assert stack.shape == (lams.size, b, b)
+        for lam, got in zip(lams, stack):
+            expected = fundamental_via_chain(chain, float(lam))
+            np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
+    with pytest.raises(ValueError):
+        fundamental_via_chain(chain, lams.reshape(1, -1))
+
+
+def test_nodeset_eigenvector_gate_is_inclusive():
+    lams = (np.array([0.0, 0.5]), np.array([1.0, 1.5]))
+    with pytest.raises(SingularMatrixError):
+        NodeSet(lams, (np.diag([1.0, 1e-12]), np.eye(2)))
+    NodeSet(lams, (np.diag([1.0, 2e-12]), np.eye(2)))
+
+
+def test_chain_breakdown_on_singular_difference():
+    # B1 = [[6, -2], [6, -1]] has spectrum {2, 3} and B0 - B1 is singular
+    omega1 = np.array([[-3.0, 2.0], [2.0, -1.0]])
+    nodes = NodeSet((np.array([0.0, 1.0]), np.array([2.0, 3.0])), (np.eye(2), omega1))
+    # the 1e-12 gate itself trips, before the later solves' 1e-14 gates can
+    with pytest.raises(ChainBreakdownError, match="^chain breakdown at position 0$"):
+        solvent_chain(nodes, 0)
 
 
 def test_chain_identity_eigenvectors_stays_diagonal():
@@ -304,6 +339,22 @@ def test_growth_bound_check_holds():
         samples = np.concatenate([lo - rng.uniform(0.05, 2.0, 10), hi + rng.uniform(0.05, 2.0, 10)])
         records = growth_bound_check(chains, (lo, hi), samples)
         assert all(r.holds for r in records)
+
+
+def test_growth_bound_check_matches_pointwise_loop():
+    rng = np.random.default_rng(19)
+    for b, d in ((1, 2), (2, 3), (3, 2)):
+        nodes = random_nodeset(rng, b, d)
+        chains = [solvent_chain(nodes, k) for k in range(d)]
+        lo, hi = nodes.spectrum_bounds()
+        samples = np.concatenate([lo - rng.uniform(0.05, 2.0, 15), hi + rng.uniform(0.05, 2.0, 15)])
+        records = growth_bound_check(chains, (lo, hi), samples)
+        norms = fundamental_norms_loop(chains, samples)
+        assert [r.lam for r in records] == samples.tolist()
+        assert [r.lhs for r in records] == [max(col) ** (1.0 / (d - 1)) for col in norms.T.tolist()]
+        assert growth_bound_check(chains, (lo, hi), []) == []
+        with pytest.raises(ValueError, match="inside the interval"):
+            growth_bound_check(chains, (lo, hi), [lo - 1.0, 0.5 * (lo + hi)])
 
 
 def test_growth_bound_scalar_matches_lagrange():

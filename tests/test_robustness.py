@@ -1,14 +1,16 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from helpers import lagrange_scalar
+from helpers import fundamental_norms_loop, lagrange_scalar
 from rsbl.linalg import RngStream, gaussian_matrix
 from rsbl.matpoly import NodeSet, solvent_chain
 from rsbl.robustness import (
     ClusterSpec,
     ExperimentFamily,
+    SingularBlockError,
     ZeroGapError,
     c_omega,
     chebyshev_accel_check,
@@ -154,6 +156,16 @@ def test_c_omega_rejects_missing_tail():
         c_omega(spec, omega)
 
 
+def test_c_omega_rejects_singular_block():
+    rng = np.random.default_rng(24)
+    spec = make_spec(rng, 2, 2, m=6)
+    for block in (np.ones((2, 2)), np.zeros((2, 2))):
+        omega = gaussian_matrix(spec.n, 2, RngStream(25))
+        omega[6:8] = block
+        with pytest.raises(SingularBlockError):
+            c_omega(spec, omega)
+
+
 def test_growth_gd_single_node_is_one():
     rng = np.random.default_rng(13)
     spec = make_spec(rng, 2, 1, m=8)
@@ -176,6 +188,31 @@ def test_growth_gd_scalar_matches_lagrange():
         abs(lagrange_scalar(vals, k, lam)) for k in range(3) for lam in samples
     )
     assert got == pytest.approx(expected, rel=1e-10)
+
+
+def test_growth_gd_matches_pointwise_loop():
+    rng = np.random.default_rng(20)
+    for b, d in ((1, 3), (2, 2), (3, 3)):
+        spec = make_spec(rng, b, d, m=10)
+        omega = gaussian_matrix(spec.n, b, RngStream(21))
+        nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(omega)[:d]))
+        chains = [solvent_chain(nodes, k) for k in range(d)]
+        expected = fundamental_norms_loop(chains, outside_grid(spec, 300)).max()
+        assert growth_Gd(spec, chains, grid_size=300) == expected
+
+
+def test_growth_gd_rejects_non_finite_values():
+    rng = np.random.default_rng(22)
+    spec = make_spec(rng, 2, 2, m=8)
+    omega = gaussian_matrix(spec.n, 2, RngStream(23))
+    nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(omega)[:2]))
+    chains = [solvent_chain(nodes, k) for k in range(2)]
+    bad = chains[1].s_head_inv.copy()
+    bad[0, 1] = np.nan
+    chains[1] = dataclasses.replace(chains[1], s_head_inv=bad)
+    # match the gate's message: a bare SVD of NaN input raises LinAlgError, a ValueError too
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        growth_Gd(spec, chains)
 
 
 def test_growth_gd_grid_refinement_stable():
