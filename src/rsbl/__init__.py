@@ -1,68 +1,18 @@
 """Randomized small-block Lanczos and its cluster-robustness machinery."""
 
-from .config import ExperimentConfig, derive_stream_id
-from .lanczos import (
-    BlockKrylovBasis,
-    BreakdownError,
-    LinearOperator,
-    NoConvergenceError,
-    RitzSet,
-    block_lanczos,
-    rayleigh_ritz,
-    run_until_converged,
-)
-from .linalg import (
-    NotSymmetricError,
-    RankDeficientError,
-    RngStream,
-    SingularMatrixError,
-    gaussian_matrix,
-    qr_factor,
-    smallest_singular,
-    solve_linear,
-    spectral_norm,
-    sym_eig,
-)
+from .lanczos import BreakdownError, NoConvergenceError
+from .linalg import RankDeficientError, SingularMatrixError
 from .matpoly import (
     ChainBreakdownError,
     DegenerateEndpointError,
     DimensionMismatchError,
-    MatrixPolynomial,
-    NodeSet,
     SingularVandermondeError,
-    SolventChain,
-    bezout_quotient,
-    block_vandermonde,
-    chi_quantities,
-    eval_lambda,
-    eval_matrix,
-    fundamental_via_chain,
-    fundamental_via_solve,
-    growth_bound_check,
-    solvent_chain,
-    solvent_residual,
 )
 from .robustness import (
-    ClusterSpec,
-    ExperimentFamily,
-    LowRankReport,
-    QuantileSummary,
-    RobustnessReport,
     SingularBlockError,
     SingularDifferenceError,
     SingularKError,
     ZeroGapError,
-    c_omega,
-    chebyshev_accel_check,
-    chebyshev_value,
-    conjecture_experiment,
-    growth_Gd,
-    lowrank_check,
-    probe_solvent_difference,
-    sandwich_d2,
-    structural_bound_trial,
-    tan_angle_krylov,
-    tan_angle_vandermonde,
 )
 
 __version__ = "0.1.0"

@@ -3,12 +3,13 @@
 Usage::
 
     rsbl <command> [--config PATH] [--seed U64] [--trials N] [--out DIR]
-                   [--quick|--full]
+                   [--full]
 
 Commands: table1, cluster-robustness, bound-verify, probe, sandwich,
 lowrank. Flags override config-file values, and every key a config file
 sets overrides the built-in per-command default; ``RSBL_OUT`` sets the
-default output directory. The
+default output directory. ``--full`` runs cluster-robustness with 1000
+trials unless ``--trials`` is given; other commands ignore it. The
 exit code is 0 exactly when every hard assertion (holds rates at 100%,
 all cells converged) passed; on failure a machine-readable summary goes to
 standard error.
@@ -82,9 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--trials", type=int, help="trial / seed count")
     parser.add_argument("--out", help="output directory (default: $RSBL_OUT or ./out)")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--quick", action="store_true", help="reduced trial budget")
-    mode.add_argument("--full", action="store_true", help="full 1000-trial budget")
+    parser.add_argument("--full", action="store_true", help="full 1000-trial budget")
     return parser
 
 
@@ -100,12 +99,8 @@ def resolve_config(args) -> ExperimentConfig:
     flags = {"seed": args.seed, "trials": args.trials, "out_dir": args.out or None}
     values.update((key, value) for key, value in flags.items() if value is not None)
     config = ExperimentConfig(**values)
-    if args.quick:
-        config.mode = "quick"
-    if args.full:
-        config.mode = "full"
-        if args.command == "cluster-robustness" and args.trials is None:
-            config.trials = 1000
+    if args.full and args.command == "cluster-robustness" and args.trials is None:
+        config.trials = 1000
     config.experiment = args.command
     config.validate()
     return config

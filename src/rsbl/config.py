@@ -34,7 +34,6 @@ class ExperimentConfig:
     out_dir: str = "out"
     grid_size: int = 1000
     variant: str = "both"
-    mode: str = "quick"
     tol: float = 1e-10
     cluster_dim: int = 60
     ell: int = 6
@@ -54,8 +53,6 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if any(v < 1 for v in self.b_list + self.d_list):
             raise ValueError("block sizes and depths must be positive")
-        if self.mode not in ("quick", "full"):
-            raise ValueError("mode must be 'quick' or 'full'")
         if self.variant not in ("exterior", "interior", "both"):
             raise ValueError("variant must be 'exterior', 'interior' or 'both'")
 
@@ -90,12 +87,8 @@ class ExperimentConfig:
         return kwargs
 
     def canonical_key(self, *extra) -> str:
-        # presentation-only fields must not perturb derived sample streams
-        lines = [
-            line
-            for line in self.to_text().splitlines()
-            if not line.startswith(("out_dir ", "mode "))
-        ]
+        # the output directory must not perturb derived sample streams
+        lines = [line for line in self.to_text().splitlines() if not line.startswith("out_dir ")]
         parts = ["\n".join(lines)]
         parts.extend(str(e) for e in extra)
         return "|".join(parts)

@@ -72,31 +72,12 @@ class LinearOperator:
         return cls(d.size, lambda block: col * block)
 
 
-def symmetry_defect(op: LinearOperator, rng, probes: int = 3) -> float:
-    """Max of ``|x'(Ay) - y'(Ax)| / (|x||y|)`` over random probe pairs.
-
-    Spot-check helper for the operator contract; the caller scales the
-    result by its own estimate of ``||A||``.
-    """
-    worst = 0.0
-    for _ in range(probes):
-        x = rng.standard_normal(op.n, 1)
-        y = rng.standard_normal(op.n, 1)
-        ax = op.apply(x)
-        ay = op.apply(y)
-        defect = abs((x.T @ ay).item() - (y.T @ ax).item())
-        worst = max(worst, defect / (np.linalg.norm(x) * np.linalg.norm(y)))
-    return worst
-
-
 @dataclass
 class BlockKrylovBasis:
     """Orthonormal block Krylov basis with its projected block tridiagonal.
 
     ``last_beta`` couples the basis to the next (unbuilt) block and yields
-    residual estimates without extra operator applications. With the
-    abort-and-resample breakdown policy no step ever deflates, so the
-    per-step flags stay False.
+    residual estimates without extra operator applications.
     """
 
     n: int
@@ -105,7 +86,6 @@ class BlockKrylovBasis:
     V: np.ndarray
     T: np.ndarray
     last_beta: np.ndarray
-    deflation_flags: tuple
 
 
 @dataclass
@@ -195,7 +175,6 @@ class _Process:
             V=self.V[:, : self.steps * self.b].copy(),
             T=self.t_matrix(),
             last_beta=self.last_beta(),
-            deflation_flags=tuple(False for _ in range(self.steps)),
         )
 
 

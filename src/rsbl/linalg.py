@@ -15,10 +15,6 @@ class RankDeficientError(Exception):
     """A QR factor has a diagonal entry below the rank gate."""
 
 
-class NotSymmetricError(Exception):
-    """Input to the symmetric eigensolver failed the symmetry test."""
-
-
 class SingularMatrixError(Exception):
     """A linear-system matrix is singular at the pivot gate."""
 
@@ -88,19 +84,6 @@ def qr_factor(m) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix: ascending values, orthonormal vectors."""
-    s = as_matrix(s)
-    if s.shape[0] != s.shape[1]:
-        raise ValueError("sym_eig requires a square matrix")
-    scale = spectral_norm(s)
-    defect = spectral_norm(s - s.T)
-    if defect > 1e-12 * scale:
-        raise NotSymmetricError(f"asymmetry {defect:.3e} exceeds 1e-12 * ||S||")
-    values, vectors = np.linalg.eigh(0.5 * (s + s.T))
-    return values, vectors
-
-
 def spectral_norm(m) -> float:
     """Largest singular value of m."""
     m = as_matrix(m)
@@ -115,24 +98,26 @@ def smallest_singular(m) -> float:
     return float(np.linalg.svd(m, compute_uv=False)[-1])
 
 
-def solve_linear(m, b) -> tuple[np.ndarray, float]:
-    """Solve ``M X = B`` for square M; returns (X, 1-norm condition estimate).
+def solve_linear(m, b) -> np.ndarray:
+    """Solve ``M X = B`` for a square M, or for each M of a ``(..., n, n)`` stack.
 
-    Raises :class:`SingularMatrixError` when M is singular at the
+    B carries the same leading stack axes as M. Raises
+    :class:`SingularMatrixError` when any M is singular at the
     ``1e-14 * ||M||`` gate.
     """
-    m = as_matrix(m, "M")
-    b = as_matrix(b, "B")
-    if m.shape[0] != m.shape[1]:
-        raise ValueError("solve_linear requires a square matrix")
-    if b.shape[0] != m.shape[0]:
-        raise ValueError("right-hand side has incompatible row count")
+    m = np.asarray(m, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("solve_linear requires a square matrix or a stack of them")
+    if b.ndim != m.ndim or b.shape[:-1] != m.shape[:-1]:
+        raise ValueError("right-hand side has an incompatible shape")
+    if not (np.isfinite(m).all() and np.isfinite(b).all()):
+        raise ValueError("M or B contains NaN or Inf entries")
     svals = np.linalg.svd(m, compute_uv=False)
-    if svals[0] == 0.0 or svals[-1] < 1e-14 * svals[0]:
+    top, low = svals[..., 0], svals[..., -1]
+    singular = (top == 0.0) | (low < 1e-14 * top)
+    if singular.any():
         raise SingularMatrixError(
-            f"singular value {svals[-1]:.3e} below 1e-14 * ||M|| ({svals[0]:.3e})"
+            f"singular value {low[singular][0]:.3e} below 1e-14 * ||M|| ({top[singular][0]:.3e})"
         )
-    x = np.linalg.solve(m, b)
-    m_inv = np.linalg.inv(m)
-    cond = float(np.linalg.norm(m, 1) * np.linalg.norm(m_inv, 1))
-    return x, cond
+    return np.linalg.solve(m, b)

@@ -88,6 +88,21 @@ def eval_lambda(p: MatrixPolynomial, lam: float) -> np.ndarray:
     return acc
 
 
+def conjugate(omega, lam) -> np.ndarray:
+    """Conjugated nodes ``inv(Omega) diag(lam) Omega`` over any leading stack axes.
+
+    ``omega`` is (..., b, b) and ``lam`` is (..., b). For b = 1 the
+    conjugation cancels exactly, so the spectrum itself comes back as a
+    (..., 1, 1) array. Raises :class:`SingularMatrixError` when an Omega
+    fails the solve gate.
+    """
+    omega = np.asarray(omega, dtype=np.float64)
+    lam = np.asarray(lam, dtype=np.float64)
+    if omega.shape[-1] == 1:
+        return lam[..., None].copy()
+    return solve_linear(omega, lam[..., :, None] * omega)
+
+
 @dataclass(frozen=True)
 class NodeSet:
     """Interpolation nodes ``B_i = inv(Omega_i) diag(lam_i) Omega_i``.
@@ -112,20 +127,14 @@ class NodeSet:
                 raise DimensionMismatchError("all nodes must share one block size")
             if not np.isfinite(lam).all():
                 raise ValueError("node spectrum contains non-finite entries")
-            sv = np.linalg.svd(om, compute_uv=False)
-            if sv[-1] <= 1e-12 * sv[0]:
-                raise SingularMatrixError("eigenvector matrix fails the 1e-12 gate")
+        sv = np.linalg.svd(np.stack(oms), compute_uv=False)
+        if np.any(sv[:, -1] <= 1e-12 * sv[:, 0]):
+            raise SingularMatrixError("eigenvector matrix fails the 1e-12 gate")
         for i in range(len(lams)):
             for j in range(i + 1, len(lams)):
                 if np.min(np.abs(lams[i][:, None] - lams[j][None, :])) == 0.0:
                     raise ValueError(f"nodes {i} and {j} share an eigenvalue")
-        if b == 1:
-            # scalar conjugation cancels exactly
-            bs = tuple(lam.reshape(1, 1).copy() for lam in lams)
-        else:
-            bs = tuple(
-                np.linalg.solve(om, lam[:, None] * om) for lam, om in zip(lams, oms)
-            )
+        bs = tuple(conjugate(np.stack(oms), np.stack(lams)))
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "omegas", oms)
         object.__setattr__(self, "bs", bs)
@@ -152,25 +161,24 @@ class NodeSet:
         return float(allv.min()), float(allv.max())
 
 
-def block_vandermonde(nodes) -> np.ndarray:
-    """Stack the block rows ``[I, B_i, ..., B_i^(d-1)]`` into a bd-by-bd matrix.
+def block_vandermonde(nodes, d: int | None = None) -> np.ndarray:
+    """Stack the block rows ``[I, B_i, ..., B_i^(d-1)]``, one per node ``B_i``.
 
-    Accepts a :class:`NodeSet` or a plain sequence of square matrices.
+    Accepts a :class:`NodeSet`, a sequence of square matrices or a
+    (count, b, b) stack. ``d`` defaults to the node count, which gives the
+    square bd-by-bd block Vandermonde matrix. The powers of all nodes are
+    taken as one batched product per degree.
     """
-    mats = nodes.bs if isinstance(nodes, NodeSet) else tuple(as_matrix(m) for m in nodes)
-    d = len(mats)
+    mats = nodes.bs if isinstance(nodes, NodeSet) else [as_matrix(m) for m in nodes]
     b = mats[0].shape[0]
-    rows = []
-    for m in mats:
-        if m.shape != (b, b):
-            raise DimensionMismatchError("Vandermonde nodes must share one square size")
-        power = np.eye(b)
-        blocks = [power]
-        for _ in range(d - 1):
-            power = power @ m
-            blocks.append(power)
-        rows.append(np.hstack(blocks))
-    return np.vstack(rows)
+    if any(m.shape != (b, b) for m in mats):
+        raise DimensionMismatchError("Vandermonde nodes must share one square size")
+    mats = np.stack(mats)
+    d = len(mats) if d is None else d
+    powers = [np.broadcast_to(np.eye(b), mats.shape)]
+    for _ in range(d - 1):
+        powers.append(powers[-1] @ mats)
+    return np.concatenate(powers, axis=2).reshape(-1, b * d)
 
 
 def fundamental_via_solve(nodes: NodeSet, k: int) -> MatrixPolynomial:
@@ -186,7 +194,7 @@ def fundamental_via_solve(nodes: NodeSet, k: int) -> MatrixPolynomial:
     rhs = np.zeros((b * d, b))
     rhs[k * b:(k + 1) * b] = np.eye(b)
     try:
-        coeffs, _ = solve_linear(van, rhs)
+        coeffs = solve_linear(van, rhs)
     except SingularMatrixError as exc:
         raise SingularVandermondeError(str(exc)) from exc
     return MatrixPolynomial(tuple(coeffs[j * b:(j + 1) * b] for j in range(d)))
@@ -198,31 +206,27 @@ class SolventChain:
 
     Nodes are permuted so the pivot node ``k`` sits at position 0, followed
     by the remaining nodes in their original order. Working backwards from
-    the last position, each node is conjugated into a companion ``b_hats[i]``
-    through the accumulated difference products stored in ``partials``:
+    the last position, node ``B_i`` absorbs the companions of the later
+    positions into its difference product, starting from ``S = I``:
 
-        partials[(i, d)] = I
-        partials[(i, j)] = B_i @ partials[(i, j+1)] - partials[(i, j+1)] @ b_hats[j]
+        S <- B_i @ S - S @ b_hats[j]    for j descending from d-1 to i+1,
 
-    for j descending from d-1 to i+1, i.e. companions are absorbed from the
-    tail of the chain first. (Absorbing in ascending order is *not*
-    equivalent for b > 1 and breaks the interpolation property; the
-    descending order is the one consistent with peeling degree-one factors
-    off the highest position first, and is verified against
-    :func:`fundamental_via_solve`.) ``s_full[i] = partials[(i, i+1)]`` is the
-    fully absorbed product whose nonsingularity the construction requires.
+    i.e. companions are absorbed from the tail of the chain first.
+    (Absorbing in ascending order is *not* equivalent for b > 1 and breaks
+    the interpolation property; the descending order is the one consistent
+    with peeling degree-one factors off the highest position first, and is
+    verified against :func:`fundamental_via_solve`.) The fully absorbed
+    product ``s_full[i]`` must be nonsingular; it conjugates the node into
+    its companion ``b_hats[i] = conjugate(Omega_i @ s_full[i], lambdas[i])``.
     """
 
     nodes: NodeSet
     k: int
     order: tuple
     lambdas: tuple
-    omega_hats: tuple
     b_hats: tuple
-    partials: dict
     s_full: tuple
     s_head_inv: np.ndarray
-    inversion_conds: tuple
 
     @property
     def b(self) -> int:
@@ -249,47 +253,31 @@ def solvent_chain(nodes: NodeSet, k: int) -> SolventChain:
     b_p = [nodes.bs[i] for i in order]
     eye = np.eye(b)
     b_hats: list = [None] * d
-    omega_hats: list = [None] * d
     s_full: list = [None] * d
-    partials: dict = {}
-    conds: list = []
     for i in range(d - 1, -1, -1):
         acc = eye
-        partials[(i, d)] = acc
         for j in range(d - 1, i, -1):
             acc = b_p[i] @ acc - acc @ b_hats[j]
-            partials[(i, j)] = acc
         s_full[i] = acc
         sv = np.linalg.svd(as_matrix(acc, "chain product"), compute_uv=False)
         if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
             raise ChainBreakdownError(i)
-        omega_hats[i] = om_p[i] @ acc
-        if b == 1:
-            b_hats[i] = lam_p[i].reshape(1, 1).copy()
-            conds.append(1.0)
-        else:
-            try:
-                b_hat, cond = solve_linear(omega_hats[i], lam_p[i][:, None] * omega_hats[i])
-            except SingularMatrixError as exc:
-                raise ChainBreakdownError(i, f"conjugation at position {i}: {exc}") from exc
-            b_hats[i] = b_hat
-            conds.append(cond)
+        try:
+            b_hats[i] = conjugate(om_p[i] @ acc, lam_p[i])
+        except SingularMatrixError as exc:
+            raise ChainBreakdownError(i, f"conjugation at position {i}: {exc}") from exc
     try:
-        s_head_inv, cond_head = solve_linear(s_full[0], eye)
+        s_head_inv = solve_linear(s_full[0], eye)
     except SingularMatrixError as exc:
         raise ChainBreakdownError(0, f"head inversion: {exc}") from exc
-    conds.append(cond_head)
     return SolventChain(
         nodes=nodes,
         k=k,
         order=order,
         lambdas=tuple(lam_p),
-        omega_hats=tuple(omega_hats),
         b_hats=tuple(b_hats),
-        partials=partials,
         s_full=tuple(s_full),
         s_head_inv=s_head_inv,
-        inversion_conds=tuple(conds),
     )
 
 

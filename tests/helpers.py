@@ -3,12 +3,72 @@
 Everything here is deliberately independent of the implementation paths it
 checks: naive power sums instead of Horner, classical Lagrange formulas
 instead of chain factorizations, dense decompositions instead of iterative
-ones.
+ones. It also holds the test-only helpers the package itself never calls
+(the symmetric eigensolver and the operator symmetry spot-check).
 """
+import importlib
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from rsbl.linalg import spectral_norm
+from rsbl.linalg import as_matrix, spectral_norm
 from rsbl.matpoly import MatrixPolynomial, NodeSet, fundamental_via_chain
+
+
+class NotSymmetricError(Exception):
+    """Input to the symmetric eigensolver failed the symmetry test."""
+
+
+def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric matrix: ascending values, orthonormal vectors."""
+    s = as_matrix(s)
+    if s.shape[0] != s.shape[1]:
+        raise ValueError("sym_eig requires a square matrix")
+    scale = spectral_norm(s)
+    defect = spectral_norm(s - s.T)
+    if defect > 1e-12 * scale:
+        raise NotSymmetricError(f"asymmetry {defect:.3e} exceeds 1e-12 * ||S||")
+    values, vectors = np.linalg.eigh(0.5 * (s + s.T))
+    return values, vectors
+
+
+def symmetry_defect(op, rng, probes: int = 3) -> float:
+    """Max of ``|x'(Ay) - y'(Ax)| / (|x||y|)`` over random probe pairs.
+
+    Spot-check helper for the operator contract; the caller scales the
+    result by its own estimate of ``||A||``.
+    """
+    worst = 0.0
+    for _ in range(probes):
+        x = rng.standard_normal(op.n, 1)
+        y = rng.standard_normal(op.n, 1)
+        ax = op.apply(x)
+        ay = op.apply(y)
+        defect = abs((x.T @ ay).item() - (y.T @ ax).item())
+        worst = max(worst, defect / (np.linalg.norm(x) * np.linalg.norm(y)))
+    return worst
+
+
+def block_vandermonde_loop(mats, d: int) -> np.ndarray:
+    """Per-node reference for the batched Vandermonde rows ``[I, M, ..., M^(d-1)]``."""
+    rows = []
+    for m in mats:
+        power = np.eye(m.shape[0])
+        blocks = [power]
+        for _ in range(d - 1):
+            power = power @ m
+            blocks.append(power)
+        rows.append(np.hstack(blocks))
+    return np.vstack(rows)
+
+
+def import_perfbench(name: str):
+    """Import a module of the benchmark harness in ``perfbench/`` (read-only use)."""
+    path = str(Path(__file__).resolve().parent.parent / "perfbench")
+    if path not in sys.path:
+        sys.path.insert(0, path)
+    return importlib.import_module(name)
 
 
 def naive_eval(p: MatrixPolynomial, x: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from rsbl.cli import main
+from helpers import import_perfbench
+from rsbl.cli import build_parser, main, resolve_config
 from rsbl.config import ExperimentConfig, derive_stream_id
 from rsbl.experiments import fit_loglog, format_number, run_sandwich, write_csv
 
@@ -18,7 +19,6 @@ def test_config_round_trip():
         trials=3,
         seed=99,
         out_dir="results",
-        mode="full",
     )
     text = config.to_text()
     assert ExperimentConfig.from_text(text) == config
@@ -40,8 +40,6 @@ def test_config_rejects_unknown_key():
 def test_config_validates_counts():
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(mode="slow")
 
 
 def test_stream_derivation_stable_and_distinct():
@@ -192,3 +190,84 @@ def test_cli_output_independent_of_out_dir(tmp_path):
     assert main(["bound-verify", "--trials", "2", "--out", str(out1)]) == 0
     assert main(["bound-verify", "--trials", "2", "--out", str(out2)]) == 0
     assert (out1 / "bound_reports.csv").read_bytes() == (out2 / "bound_reports.csv").read_bytes()
+
+
+# Canonical keys of the benchmark's three configs at seed 1, as its runner
+# passes them. Every per-trial stream id derives from these strings, so a
+# change to one moves every sample that command draws.
+BENCHMARK_KEYS = {
+    "table1": (
+        'alpha_list = \n'
+        'b_list = 1, 2, 4, 8, 16, 32\n'
+        'beta_list = 1.0, 0.1, 0.01, 0.001\n'
+        'cluster_dim = 60\n'
+        'd_list = 2, 3\n'
+        'ell = 6\n'
+        'eps = 0.1\n'
+        'experiment = table1\n'
+        'grid_size = 1000\n'
+        'n = 2000\n'
+        'nrows = 30\n'
+        'seed = 1\n'
+        'tol = 1e-10\n'
+        'trials = 2\n'
+        'variant = both'
+    ),
+    "tangent-sweep": (
+        'alpha_list = \n'
+        'b_list = 1, 2, 4, 8, 16, 32\n'
+        'beta_list = 1.0, 0.1, 0.01, 0.001\n'
+        'cluster_dim = 60\n'
+        'd_list = 2, 3\n'
+        'ell = 6\n'
+        'eps = 0.1\n'
+        'experiment = cluster-robustness\n'
+        'grid_size = 1000\n'
+        'n = 1000\n'
+        'nrows = 30\n'
+        'seed = 1\n'
+        'tol = 1e-10\n'
+        'trials = 5\n'
+        'variant = exterior'
+    ),
+    "bound-verify": (
+        'alpha_list = \n'
+        'b_list = 1, 2, 3\n'
+        'beta_list = 1.0, 0.1, 0.01, 0.001\n'
+        'cluster_dim = 60\n'
+        'd_list = 2, 3\n'
+        'ell = 6\n'
+        'eps = 0.1\n'
+        'experiment = bound-verify\n'
+        'grid_size = 1000\n'
+        'n = 2000\n'
+        'nrows = 30\n'
+        'seed = 1\n'
+        'tol = 1e-10\n'
+        'trials = 15\n'
+        'variant = both'
+    ),
+}
+
+
+def test_benchmark_canonical_keys_pinned(tmp_path, monkeypatch):
+    monkeypatch.delenv("RSBL_OUT", raising=False)
+    workloads = import_perfbench("workloads").WORKLOADS
+    assert sorted(workloads) == sorted(BENCHMARK_KEYS)
+    for name, w in workloads.items():
+        path = tmp_path / f"{name}.cfg"
+        path.write_text(w.config_text())
+        args = build_parser().parse_args(w.argv(str(path), 1, str(tmp_path / "out")))
+        assert resolve_config(args).canonical_key() == BENCHMARK_KEYS[name]
+
+
+def test_cli_full_flag_sets_cluster_trials():
+    def trials(*argv):
+        return resolve_config(build_parser().parse_args(argv)).trials
+
+    assert trials("cluster-robustness", "--full") == 1000
+    assert trials("cluster-robustness", "--full", "--trials", "7") == 7
+    assert trials("cluster-robustness") == 200
+    assert trials("bound-verify", "--full") == 20
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["probe", "--quick"])

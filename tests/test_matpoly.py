@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import (
+    block_vandermonde_loop,
     eigenhull_bound_pair,
     fundamental_norms_loop,
     lagrange_scalar,
@@ -19,6 +20,7 @@ from rsbl.matpoly import (
     bezout_quotient,
     block_vandermonde,
     chi_quantities,
+    conjugate,
     eval_lambda,
     eval_matrix,
     fundamental_via_chain,
@@ -67,6 +69,34 @@ def test_block_vandermonde_counterexample():
     van = block_vandermonde([b1, b2])
     vec = np.array([1.0, -2.0, -1.0, 1.0])
     assert np.linalg.norm(van @ vec) <= 1e-14
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_block_vandermonde_stack_matches_loop(b):
+    rng = np.random.default_rng(30 + b)
+    mats = rng.standard_normal((7, b, b))
+    for d in (1, 2, 3, 4):
+        assert np.array_equal(block_vandermonde(mats, d), block_vandermonde_loop(mats, d))
+    nodes = random_nodeset(rng, b, 3)
+    assert np.array_equal(block_vandermonde(nodes), block_vandermonde_loop(nodes.bs, 3))
+    assert np.array_equal(block_vandermonde(list(mats[:3])), block_vandermonde_loop(mats[:3], 3))
+
+
+def test_conjugate_single_implementation():
+    rng = np.random.default_rng(31)
+    lam = rng.uniform(-1.0, 1.0, (6, 1))
+    assert np.array_equal(conjugate(rng.standard_normal((6, 1, 1)), lam), lam[:, :, None])
+    for b in (2, 3):
+        oms = rng.standard_normal((6, b, b))
+        lams = rng.uniform(-1.0, 1.0, (6, b))
+        stack = conjugate(oms, lams)
+        for om, l, got in zip(oms, lams, stack):
+            expect = np.linalg.solve(om, l[:, None] * om)
+            assert np.array_equal(conjugate(om, l), expect)
+            assert np.array_equal(got, expect)
+        oms[4] = np.ones((b, b))
+        with pytest.raises(SingularMatrixError):
+            conjugate(oms, lams)
 
 
 def test_block_vandermonde_trivial_cases():
@@ -189,13 +219,14 @@ def test_chain_stored_recurrence_and_permutation():
     assert chain.order == (2, 0, 1, 3)
     d = nodes.d
     for i in range(d):
-        assert np.array_equal(chain.partials[(i, d)], np.eye(2))
+        acc = np.eye(2)
         b_i = nodes.bs[chain.order[i]]
         for j in range(d - 1, i, -1):
-            prev = chain.partials[(i, j + 1)]
-            expect = b_i @ prev - prev @ chain.b_hats[j]
-            assert np.array_equal(chain.partials[(i, j)], expect)
-        assert np.array_equal(chain.s_full[i], chain.partials[(i, i + 1)])
+            acc = b_i @ acc - acc @ chain.b_hats[j]
+        assert np.array_equal(chain.s_full[i], acc)
+        node = chain.order[i]
+        expect = conjugate(nodes.omegas[node] @ acc, nodes.lambdas[node])
+        assert np.array_equal(chain.b_hats[i], expect)
 
 
 def test_chain_agrees_with_solve_oracle():

@@ -243,6 +243,29 @@ def test_structural_bound_trials_hold():
             )
 
 
+# at b = 1 the conjugation takes no solve, so only c_omega's gate sees the zero block
+@pytest.mark.parametrize("tail", [np.ones((2, 2)), np.zeros((1, 1))])
+def test_structural_bound_trial_resamples_singular_trailing_block(monkeypatch, tail):
+    import rsbl.robustness
+
+    b = tail.shape[0]
+    spec = make_spec(np.random.default_rng(26), b, 2, m=8)
+    draws = []
+
+    def first_draw_singular_tail(rows, cols, rng):
+        omega = gaussian_matrix(rows, cols, rng)
+        if not draws:
+            omega[-b:] = tail
+        draws.append(omega)
+        return omega
+
+    monkeypatch.setattr(rsbl.robustness, "gaussian_matrix", first_draw_singular_tail)
+    report = structural_bound_trial(spec, seed=27, grid_size=200)
+    assert report.retries == 1
+    assert len(draws) == 2
+    assert report.bound_holds
+
+
 def test_sandwich_anchor_case():
     lower, middle, upper, holds = sandwich_d2(np.eye(2), -np.eye(2))
     assert middle == pytest.approx(0.5, rel=1e-12)
