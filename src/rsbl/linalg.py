@@ -16,16 +16,24 @@ class RankDeficientError(Exception):
 
 
 class SingularMatrixError(Exception):
-    """A linear-system matrix is singular at the pivot gate."""
+    """A matrix fails the singular-value gate of :func:`gated_svals`."""
+
+
+def as_stack(a, name: str = "matrix") -> np.ndarray:
+    """Return ``a`` as a float64 matrix or ``(..., r, c)`` stack with finite entries."""
+    m = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+    if m.ndim < 2:
+        raise ValueError(f"{name} must be a matrix or a stack of them, got shape {m.shape}")
+    if m.size and not np.isfinite(m).all():
+        raise ValueError(f"{name} contains NaN or Inf entries")
+    return m
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Return ``a`` as a 2-D float64 C-contiguous array with finite entries."""
-    m = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+    m = as_stack(a, name)
     if m.ndim != 2:
         raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    if m.size and not np.isfinite(m).all():
-        raise ValueError(f"{name} contains NaN or Inf entries")
     return m
 
 
@@ -84,18 +92,34 @@ def qr_factor(m) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def spectral_norm(m) -> float:
-    """Largest singular value of m."""
-    m = as_matrix(m)
-    if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+def gated_svals(m, rtol: float, error=SingularMatrixError) -> np.ndarray:
+    """Descending singular values of a matrix, or of each matrix of a ``(..., r, c)`` stack.
+
+    The one nonsingularity gate: raises ``error`` when any matrix has
+    ``smallest <= rtol * largest``, an inclusive rule that an all-zero
+    matrix also trips. Non-finite input raises ValueError.
+    """
+    svals = np.linalg.svd(as_stack(m), compute_uv=False)
+    top, low = svals[..., 0], svals[..., -1]
+    singular = low <= rtol * top
+    if singular.any():
+        low, top = low[singular][0], top[singular][0]
+        raise error(f"smallest singular value {low:.3e} at or below {rtol:g} * largest ({top:.3e})")
+    return svals
 
 
-def smallest_singular(m) -> float:
-    """Smallest singular value of m (over min(rows, cols))."""
-    m = as_matrix(m)
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+def spectral_norm(m):
+    """Largest singular value of m, or an array of them for a ``(..., r, c)`` stack."""
+    m = as_stack(m)
+    top = np.linalg.svd(m, compute_uv=False)[..., 0] if m.size else np.zeros(m.shape[:-2])
+    return float(top) if m.ndim == 2 else top
+
+
+def smallest_singular(m):
+    """Smallest singular value of m (over min(rows, cols)), or an array of them for a stack."""
+    m = as_stack(m)
+    low = np.linalg.svd(m, compute_uv=False)[..., -1]
+    return float(low) if m.ndim == 2 else low
 
 
 def solve_linear(m, b) -> np.ndarray:
@@ -106,18 +130,10 @@ def solve_linear(m, b) -> np.ndarray:
     ``1e-14 * ||M||`` gate.
     """
     m = np.asarray(m, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
+    b = as_stack(b, "B")
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError("solve_linear requires a square matrix or a stack of them")
     if b.ndim != m.ndim or b.shape[:-1] != m.shape[:-1]:
         raise ValueError("right-hand side has an incompatible shape")
-    if not (np.isfinite(m).all() and np.isfinite(b).all()):
-        raise ValueError("M or B contains NaN or Inf entries")
-    svals = np.linalg.svd(m, compute_uv=False)
-    top, low = svals[..., 0], svals[..., -1]
-    singular = (top == 0.0) | (low < 1e-14 * top)
-    if singular.any():
-        raise SingularMatrixError(
-            f"singular value {low[singular][0]:.3e} below 1e-14 * ||M|| ({top[singular][0]:.3e})"
-        )
+    gated_svals(m, 1e-14)
     return np.linalg.solve(m, b)

@@ -11,6 +11,7 @@ recursive chain-of-solvents factorization (:func:`solvent_chain` +
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,6 +19,8 @@ import numpy as np
 from .linalg import (
     SingularMatrixError,
     as_matrix,
+    as_stack,
+    gated_svals,
     solve_linear,
     spectral_norm,
 )
@@ -34,9 +37,9 @@ class SingularVandermondeError(Exception):
 class ChainBreakdownError(Exception):
     """A chain difference product became singular (degenerate draw; resample)."""
 
-    def __init__(self, position: int, message: str = ""):
+    def __init__(self, position: int):
         self.position = position
-        super().__init__(message or f"chain breakdown at position {position}")
+        super().__init__(f"chain breakdown at position {position}")
 
 
 class DegenerateEndpointError(Exception):
@@ -88,19 +91,29 @@ def eval_lambda(p: MatrixPolynomial, lam: float) -> np.ndarray:
     return acc
 
 
-def conjugate(omega, lam) -> np.ndarray:
+def conjugate(omega, lam, rtol: float = 1e-14) -> np.ndarray:
     """Conjugated nodes ``inv(Omega) diag(lam) Omega`` over any leading stack axes.
 
-    ``omega`` is (..., b, b) and ``lam`` is (..., b). For b = 1 the
-    conjugation cancels exactly, so the spectrum itself comes back as a
-    (..., 1, 1) array. Raises :class:`SingularMatrixError` when an Omega
-    fails the solve gate.
+    ``omega`` is (..., b, b) and ``lam`` is (..., b) or broadcasts against
+    it. Every Omega passes the ``rtol`` singular-value gate first, at every
+    b, else :class:`SingularMatrixError`. For b = 1 the conjugation cancels
+    exactly, so the spectrum itself comes back as a (..., 1, 1) array.
     """
     omega = np.asarray(omega, dtype=np.float64)
     lam = np.asarray(lam, dtype=np.float64)
+    gated_svals(omega, rtol)
     if omega.shape[-1] == 1:
-        return lam[..., None].copy()
-    return solve_linear(omega, lam[..., :, None] * omega)
+        return np.broadcast_to(lam[..., None], omega.shape).copy()
+    return np.linalg.solve(omega, lam[..., :, None] * omega)
+
+
+def min_separation(spectra) -> float:
+    """Smallest ``|lam_i - lam_j|`` between eigenvalues of different spectra; inf for one."""
+    gap = math.inf
+    for i in range(len(spectra)):
+        for j in range(i + 1, len(spectra)):
+            gap = min(gap, float(np.min(np.abs(spectra[i][:, None] - spectra[j][None, :]))))
+    return gap
 
 
 @dataclass(frozen=True)
@@ -127,14 +140,9 @@ class NodeSet:
                 raise DimensionMismatchError("all nodes must share one block size")
             if not np.isfinite(lam).all():
                 raise ValueError("node spectrum contains non-finite entries")
-        sv = np.linalg.svd(np.stack(oms), compute_uv=False)
-        if np.any(sv[:, -1] <= 1e-12 * sv[:, 0]):
-            raise SingularMatrixError("eigenvector matrix fails the 1e-12 gate")
-        for i in range(len(lams)):
-            for j in range(i + 1, len(lams)):
-                if np.min(np.abs(lams[i][:, None] - lams[j][None, :])) == 0.0:
-                    raise ValueError(f"nodes {i} and {j} share an eigenvalue")
-        bs = tuple(conjugate(np.stack(oms), np.stack(lams)))
+        bs = tuple(conjugate(np.stack(oms), np.stack(lams), rtol=1e-12))
+        if min_separation(lams) == 0.0:
+            raise ValueError("two nodes share an eigenvalue")
         object.__setattr__(self, "lambdas", lams)
         object.__setattr__(self, "omegas", oms)
         object.__setattr__(self, "bs", bs)
@@ -146,15 +154,6 @@ class NodeSet:
     @property
     def d(self) -> int:
         return len(self.lambdas)
-
-    def min_gap(self) -> float:
-        """Smallest eigenvalue separation between distinct nodes."""
-        gap = np.inf
-        for i in range(self.d):
-            for j in range(i + 1, self.d):
-                gap = min(gap, float(np.min(np.abs(
-                    self.lambdas[i][:, None] - self.lambdas[j][None, :]))))
-        return gap
 
     def spectrum_bounds(self) -> tuple[float, float]:
         allv = np.concatenate(self.lambdas)
@@ -169,11 +168,10 @@ def block_vandermonde(nodes, d: int | None = None) -> np.ndarray:
     square bd-by-bd block Vandermonde matrix. The powers of all nodes are
     taken as one batched product per degree.
     """
-    mats = nodes.bs if isinstance(nodes, NodeSet) else [as_matrix(m) for m in nodes]
-    b = mats[0].shape[0]
-    if any(m.shape != (b, b) for m in mats):
+    mats = as_stack(nodes.bs if isinstance(nodes, NodeSet) else nodes, "Vandermonde nodes")
+    b = mats.shape[-1]
+    if mats.ndim != 3 or mats.shape[1] != b:
         raise DimensionMismatchError("Vandermonde nodes must share one square size")
-    mats = np.stack(mats)
     d = len(mats) if d is None else d
     powers = [np.broadcast_to(np.eye(b), mats.shape)]
     for _ in range(d - 1):
@@ -259,17 +257,13 @@ def solvent_chain(nodes: NodeSet, k: int) -> SolventChain:
         for j in range(d - 1, i, -1):
             acc = b_p[i] @ acc - acc @ b_hats[j]
         s_full[i] = acc
-        sv = np.linalg.svd(as_matrix(acc, "chain product"), compute_uv=False)
-        if sv[0] == 0.0 or sv[-1] < 1e-12 * sv[0]:
-            raise ChainBreakdownError(i)
         try:
+            gated_svals(acc, 1e-12)
             b_hats[i] = conjugate(om_p[i] @ acc, lam_p[i])
         except SingularMatrixError as exc:
-            raise ChainBreakdownError(i, f"conjugation at position {i}: {exc}") from exc
-    try:
-        s_head_inv = solve_linear(s_full[0], eye)
-    except SingularMatrixError as exc:
-        raise ChainBreakdownError(0, f"head inversion: {exc}") from exc
+            raise ChainBreakdownError(i) from exc
+    # s_full[0] passed the 1e-12 gate above, so the inversion needs no second one
+    s_head_inv = np.linalg.solve(s_full[0], eye)
     return SolventChain(
         nodes=nodes,
         k=k,
@@ -305,12 +299,9 @@ def fundamental_norms(chains, lams) -> np.ndarray:
     """Spectral norms ``||F_k(lam)||`` as a (chains, points) array.
 
     Each chain is evaluated on the whole 1-D grid as one stack, and one
-    batched SVD gives all norms. Non-finite values raise ValueError.
+    stacked spectral norm gives all norms. Non-finite values raise ValueError.
     """
-    values = np.stack([fundamental_via_chain(chain, lams) for chain in chains])
-    if not np.isfinite(values).all():
-        raise ValueError("fundamental polynomial values contain NaN or Inf entries")
-    return np.linalg.svd(values, compute_uv=False)[..., 0]
+    return spectral_norm(np.stack([fundamental_via_chain(chain, lams) for chain in chains]))
 
 
 def solvent_residual(p: MatrixPolynomial, b_mat) -> float:
@@ -359,28 +350,26 @@ def chi_quantities(nodes: NodeSet, chains, interval) -> tuple[float, float]:
         if lam.min() < lo or lam.max() > hi:
             raise ValueError("node spectra must lie inside the interval")
     eye = np.eye(nodes.b)
-    chi_mono = 1.0
-    chi_coef = 0.0
+    mats, dens, gaps = [], [], []
     for chain in chains:
         # scalars commute, so every companion equals its spectrum and the
         # endpoint ratios are identically one
         for i in range(1, d) if nodes.b > 1 else ():
-            lam_i = chain.lambdas[i]
             for endpoint in (lo, hi):
-                den = float(np.max(np.abs(endpoint - lam_i)))
+                den = float(np.max(np.abs(endpoint - chain.lambdas[i])))
                 if den == 0.0:
                     raise DegenerateEndpointError(
                         f"endpoint {endpoint} equals the full spectrum of a node"
                     )
-                num = spectral_norm(endpoint * eye - chain.b_hats[i])
-                chi_mono = max(chi_mono, num / den)
-        pivot = chain.lambdas[0]
-        gap = min(
-            float(np.min(np.abs(pivot[:, None] - chain.lambdas[i][None, :])))
-            for i in range(1, d)
-        )
-        coef = spectral_norm(chain.s_head_inv) ** (1.0 / (d - 1)) * gap
-        chi_coef = max(chi_coef, coef)
+                mats.append(endpoint * eye - chain.b_hats[i])
+                dens.append(den)
+        gaps.append(min_separation((chain.lambdas[0], np.concatenate(chain.lambdas[1:]))))
+    # one stacked norm: the endpoint companions first, then the inverse heads
+    norms = spectral_norm(np.stack(mats + [chain.s_head_inv for chain in chains])).tolist()
+    chi_mono = max([1.0] + [num / den for num, den in zip(norms, dens)])
+    chi_coef = max(
+        head ** (1.0 / (d - 1)) * gap for head, gap in zip(norms[len(dens):], gaps)
+    )
     return chi_mono, chi_coef
 
 
@@ -408,7 +397,7 @@ def growth_bound_check(chains, interval, lam_samples, rel_tol: float = 1e-10):
     d = nodes.d
     lo, hi = float(interval[0]), float(interval[1])
     chi_mono, chi_coef = chi_quantities(nodes, chains, interval)
-    gap = nodes.min_gap()
+    gap = min_separation(nodes.lambdas)
     lams = np.asarray(lam_samples, dtype=np.float64).reshape(-1)
     inside = (lo <= lams) & (lams <= hi)
     if inside.any():

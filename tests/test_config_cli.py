@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -182,6 +185,22 @@ def test_cli_rerun_byte_identical(tmp_path):
     assert main(["probe", "--trials", "25", "--out", str(out1)]) == 0
     assert main(["probe", "--trials", "25", "--out", str(out2)]) == 0
     assert (out1 / "probe_quantiles.csv").read_bytes() == (out2 / "probe_quantiles.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["bound-verify", "sandwich"])
+def test_cli_csv_bytes_independent_of_blas_threads(tmp_path, command):
+    # fresh processes, because OpenBLAS reads its thread count at load time
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "rsbl", command, "--trials", "4", "--seed", "3", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_output_independent_of_out_dir(tmp_path):

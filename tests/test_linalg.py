@@ -6,6 +6,7 @@ from rsbl.linalg import (
     RankDeficientError,
     RngStream,
     SingularMatrixError,
+    gated_svals,
     gaussian_matrix,
     qr_factor,
     smallest_singular,
@@ -164,6 +165,43 @@ def test_solve_stack_matches_loop_and_trips_gate():
         solve_linear(m, b)
     with pytest.raises(ValueError):
         solve_linear(m[:, :, :2], b)
+
+
+def test_gated_svals_is_inclusive_and_names_the_values():
+    assert np.array_equal(gated_svals(np.diag([2e-14, 1.0]), 1e-14), [1.0, 2e-14])
+    with pytest.raises(SingularMatrixError, match=r"1\.000e-14 at or below 1e-14 \* largest \(1\.000e\+00\)"):
+        gated_svals(np.diag([1.0, 1e-14]), 1e-14)
+    # an all-zero matrix trips the same rule, no separate zero check
+    with pytest.raises(SingularMatrixError):
+        gated_svals(np.zeros((2, 2)), 1e-14)
+    with pytest.raises(ZeroDivisionError, match="1e-12"):
+        gated_svals(np.diag([1.0, 1e-12]), 1e-12, ZeroDivisionError)
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        gated_svals(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1e-14)
+
+
+def test_gated_svals_stack_matches_loop_and_trips_on_any_member():
+    rng = np.random.default_rng(8)
+    m = rng.standard_normal((4, 3, 2))
+    svals = gated_svals(m, 1e-14)
+    for mi, si in zip(m, svals):
+        assert np.array_equal(si, np.linalg.svd(mi, compute_uv=False))
+    m[2] = 0.0
+    with pytest.raises(SingularMatrixError, match="0.000e"):
+        gated_svals(m, 1e-14)
+
+
+def test_norms_of_a_stack_match_the_loop():
+    rng = np.random.default_rng(9)
+    m = rng.standard_normal((5, 3, 3))
+    tops, lows = spectral_norm(m), smallest_singular(m)
+    assert tops.shape == lows.shape == (5,)
+    for mi, top, low in zip(m, tops, lows):
+        assert spectral_norm(mi) == top
+        assert smallest_singular(mi) == low
+    m[1, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        spectral_norm(m)
 
 
 def test_rejects_nonfinite():

@@ -26,6 +26,7 @@ from rsbl.matpoly import (
     fundamental_via_chain,
     fundamental_via_solve,
     growth_bound_check,
+    min_separation,
     solvent_chain,
     solvent_residual,
 )
@@ -99,6 +100,25 @@ def test_conjugate_single_implementation():
             conjugate(oms, lams)
 
 
+def test_conjugate_gates_omega_at_every_b():
+    # the 1 x 1 conjugation cancels, but a zero Omega still trips the gate
+    with pytest.raises(SingularMatrixError):
+        conjugate(np.zeros((1, 1)), [2.0])
+    assert np.array_equal(conjugate(np.full((3, 1, 1), 1e-300), [2.0]), np.full((3, 1, 1), 2.0))
+    with pytest.raises(SingularMatrixError):
+        conjugate(np.diag([1.0, 1e-12]), [1.0, 2.0], rtol=1e-12)
+    conjugate(np.diag([1.0, 2e-12]), [1.0, 2.0], rtol=1e-12)
+
+
+def test_min_separation_matches_all_pairs():
+    rng = np.random.default_rng(32)
+    spectra = [rng.uniform(0.0, 1.0, 3) for _ in range(4)]
+    pairs = [abs(x - y) for i, a in enumerate(spectra) for b in spectra[i + 1:] for x in a for y in b]
+    assert min_separation(spectra) == min(pairs)
+    assert min_separation(spectra[:1]) == np.inf
+    assert min_separation((np.array([1.0, 2.0]), np.array([3.0, 2.0]))) == 0.0
+
+
 def test_block_vandermonde_trivial_cases():
     nodes = NodeSet((np.array([0.5, 1.5]),), (np.eye(2),))
     assert np.array_equal(block_vandermonde(nodes), np.eye(2))
@@ -129,6 +149,18 @@ def test_fundamental_via_solve_scalar_lagrange():
     assert np.allclose([c[0, 0] for c in f.coeffs], [0.0, 1.0])
     f0 = fundamental_via_solve(nodes, 0)
     assert np.allclose([c[0, 0] for c in f0.coeffs], [1.0, -1.0])
+
+
+def test_fundamental_via_solve_vandermonde_gate():
+    # nodes -t and t give Van = [[1, -t], [1, t]] with orthogonal columns,
+    # so its singular values are sqrt(2) and sqrt(2) * t
+    def nodes_at(t):
+        return NodeSet((np.array([-t]), np.array([t])), (np.eye(1), np.eye(1)))
+
+    with pytest.raises(SingularVandermondeError, match="1e-14"):
+        fundamental_via_solve(nodes_at(1e-14), 0)
+    f = fundamental_via_solve(nodes_at(2e-14), 0)
+    assert f.coeffs[1][0, 0] == pytest.approx(-1.0 / 4e-14, rel=1e-12)
 
 
 def test_fundamental_kronecker_property():

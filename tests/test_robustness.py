@@ -11,7 +11,10 @@ from rsbl.robustness import (
     ClusterSpec,
     ExperimentFamily,
     SingularBlockError,
+    SingularDifferenceError,
+    SingularKError,
     ZeroGapError,
+    _vandermonde_route,
     c_omega,
     chebyshev_accel_check,
     chebyshev_value,
@@ -243,7 +246,8 @@ def test_structural_bound_trials_hold():
             )
 
 
-# at b = 1 the conjugation takes no solve, so only c_omega's gate sees the zero block
+# c_omega's gate trips on both blocks first; the trailing conjugation's gate
+# would reject them too, the zero 1 x 1 block at b = 1 included
 @pytest.mark.parametrize("tail", [np.ones((2, 2)), np.zeros((1, 1))])
 def test_structural_bound_trial_resamples_singular_trailing_block(monkeypatch, tail):
     import rsbl.robustness
@@ -264,6 +268,27 @@ def test_structural_bound_trial_resamples_singular_trailing_block(monkeypatch, t
     assert report.retries == 1
     assert len(draws) == 2
     assert report.bound_holds
+
+
+def test_vandermonde_route_k_gate():
+    # at d = 1 the Vandermonde matrix is I, so K is the leading partition block
+    spec = make_spec(np.random.default_rng(28), 2, 1, m=6)
+    omega = gaussian_matrix(spec.n, 2, RngStream(29))
+    nodes = NodeSet(spec.lambda_blocks, (np.eye(2),))
+    omega[:2] = np.diag([1.0, 1e-14])
+    with pytest.raises(SingularKError, match="1e-14"):
+        _vandermonde_route(spec, spec.omega_blocks(omega), nodes)
+    omega[:2] = np.diag([1.0, 2e-14])
+    tangent, k_mat = _vandermonde_route(spec, spec.omega_blocks(omega), nodes)
+    assert np.isfinite(tangent)
+    assert np.array_equal(k_mat, omega[:2])
+
+
+def test_sandwich_difference_gate():
+    with pytest.raises(SingularDifferenceError, match="1e-12"):
+        sandwich_d2(np.diag([1.0, 1e-12]), np.zeros((2, 2)))
+    _, _, _, holds = sandwich_d2(np.diag([1.0, 2e-12]), np.zeros((2, 2)))
+    assert holds
 
 
 def test_sandwich_anchor_case():
