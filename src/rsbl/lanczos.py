@@ -76,8 +76,8 @@ class LinearOperator:
 class BlockKrylovBasis:
     """Orthonormal block Krylov basis with its projected block tridiagonal.
 
-    ``last_beta`` couples the basis to the next (unbuilt) block and yields
-    residual estimates without extra operator applications.
+    ``remainder = Q R`` is the reorthogonalized next (unbuilt) block, so
+    ``||remainder @ y[-b:]|| = ||R y[-b:]||`` is the Ritz residual norm.
     """
 
     n: int
@@ -85,7 +85,7 @@ class BlockKrylovBasis:
     steps: int
     V: np.ndarray
     T: np.ndarray
-    last_beta: np.ndarray
+    remainder: np.ndarray
 
 
 @dataclass
@@ -98,10 +98,9 @@ class RitzSet:
 
 
 class _Process:
-    """Incremental block Lanczos state shared by the public drivers."""
+    """Incremental block Lanczos state; ``V`` and ``T`` are filled in place."""
 
-    def __init__(self, op: LinearOperator, omega, capacity: int):
-        omega = as_matrix(omega, "Omega")
+    def __init__(self, op: LinearOperator, omega: np.ndarray, capacity: int):
         if omega.shape[0] != op.n:
             raise ValueError("initial block row count must match the operator")
         self.op = op
@@ -111,71 +110,47 @@ class _Process:
             q0, _ = qr_factor(omega)
         except RankDeficientError as exc:
             raise BreakdownError(0) from exc
-        self.V = np.empty((self.n, self.b * capacity))
+        dim = self.b * capacity
+        self.V = np.empty((self.n, dim))
         self.V[:, : self.b] = q0
-        self.alphas: list = []
-        self.betas: list = []
+        self.T = np.zeros((dim, dim))
         self.steps = 0
-        self._pending = None
-        self._pending_scale = 0.0
+        self.remainder = None
+        self._remainder_scale = 0.0
 
     def advance(self):
         """Run one block step: extend the basis if needed, then apply the operator."""
         b = self.b
         if self.steps >= self.capacity:
             raise ValueError("process capacity exhausted")
+        lo, hi = self.steps * b, (self.steps + 1) * b
         if self.steps > 0:
             # rank gate floored at the pre-orthogonalization scale so an
             # (almost) invariant subspace registers as a breakdown instead
             # of admitting roundoff noise as a basis block
             try:
-                q, r = qr_factor(self._pending)
+                q, r = qr_factor(self.remainder)
             except RankDeficientError as exc:
                 raise BreakdownError(self.steps + 1) from exc
-            if np.min(np.abs(np.diag(r))) < 1e-12 * self._pending_scale:
+            if np.min(np.abs(np.diag(r))) < 1e-12 * self._remainder_scale:
                 raise BreakdownError(self.steps + 1)
-            self.V[:, self.steps * b:(self.steps + 1) * b] = q
-            self.betas.append(r)
-        cur = self.V[:, self.steps * b:(self.steps + 1) * b]
+            self.V[:, lo:hi] = q
+            self.T[lo:hi, lo - b:lo] = r
+            self.T[lo - b:lo, lo:hi] = r.T
+        cur = self.V[:, lo:hi]
         w = self.op.apply(cur)
         alpha = cur.T @ w
-        self.alphas.append(0.5 * (alpha + alpha.T))
-        self._pending_scale = float(np.linalg.norm(w))
-        basis = self.V[:, : (self.steps + 1) * b]
+        self.T[lo:hi, lo:hi] = 0.5 * (alpha + alpha.T)
+        self._remainder_scale = float(np.linalg.norm(w))
+        basis = self.V[:, :hi]
         for _ in range(2):
             w = w - basis @ (basis.T @ w)
-        self._pending = w
+        self.remainder = w
         self.steps += 1
 
-    def t_matrix(self) -> np.ndarray:
-        b, ell = self.b, self.steps
-        t = np.zeros((b * ell, b * ell))
-        for i, a in enumerate(self.alphas):
-            t[i * b:(i + 1) * b, i * b:(i + 1) * b] = a
-        for i, beta in enumerate(self.betas):
-            t[(i + 1) * b:(i + 2) * b, i * b:(i + 1) * b] = beta
-            t[i * b:(i + 1) * b, (i + 1) * b:(i + 2) * b] = beta.T
-        return t
-
     def ritz_values(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.t_matrix())
-
-    def last_beta(self) -> np.ndarray:
-        # R factor of the pending remainder; no gate, a tiny residual block
-        # simply signals an (almost) invariant subspace.
-        r = np.linalg.qr(self._pending, mode="r")
-        signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-        return signs[:, None] * r
-
-    def snapshot(self) -> BlockKrylovBasis:
-        return BlockKrylovBasis(
-            n=self.n,
-            b=self.b,
-            steps=self.steps,
-            V=self.V[:, : self.steps * self.b].copy(),
-            T=self.t_matrix(),
-            last_beta=self.last_beta(),
-        )
+        dim = self.b * self.steps
+        return np.linalg.eigvalsh(self.T[:dim, :dim])
 
 
 def block_lanczos(op: LinearOperator, omega, steps: int) -> BlockKrylovBasis:
@@ -198,7 +173,10 @@ def block_lanczos(op: LinearOperator, omega, steps: int) -> BlockKrylovBasis:
     proc = _Process(op, omega, capacity=steps)
     for _ in range(steps):
         proc.advance()
-    return proc.snapshot()
+    # capacity == steps, so the process buffers are exactly full
+    return BlockKrylovBasis(
+        n=proc.n, b=proc.b, steps=steps, V=proc.V, T=proc.T, remainder=proc.remainder
+    )
 
 
 def rayleigh_ritz(basis: BlockKrylovBasis, how_many: int, which: str = "largest") -> RitzSet:
@@ -210,15 +188,9 @@ def rayleigh_ritz(basis: BlockKrylovBasis, how_many: int, which: str = "largest"
         raise ValueError("which must be 'largest' or 'smallest'")
     values, vectors = np.linalg.eigh(basis.T)
     idx = np.arange(dim - how_many, dim) if which == "largest" else np.arange(how_many)
-    return _lift(basis, values, vectors, idx)
-
-
-def _lift(basis: BlockKrylovBasis, values, vectors, idx) -> RitzSet:
     sel = vectors[:, idx]
-    lifted = basis.V @ sel
-    bottom = basis.last_beta @ sel[-basis.b:, :]
-    residuals = np.linalg.norm(bottom, axis=0)
-    return RitzSet(values=values[idx], vectors=lifted, residual_norms=residuals)
+    residuals = np.linalg.norm(basis.remainder @ sel[-basis.b:, :], axis=0)
+    return RitzSet(values=values[idx], vectors=basis.V @ sel, residual_norms=residuals)
 
 
 def match_targets(values, targets, tol: float):
@@ -246,14 +218,14 @@ def run_until_converged(
     targets,
     tol: float = 1e-10,
     max_matvecs: int | None = None,
-) -> tuple[int, RitzSet]:
+) -> tuple[int, np.ndarray]:
     """Step one block at a time until every target eigenvalue is matched.
 
     After each block step the Ritz values of the projected matrix are
     compared against the known target eigenvalues; convergence is declared
     at the first step where every target has a Ritz value within ``tol``
-    (absolute), and the matvec count at that step is returned along with
-    the matched Ritz pairs.
+    (absolute). Returns the matvec count at that step and the matched Ritz
+    values, one per sorted target and in the same order.
     """
     omega = as_matrix(omega, "Omega")
     targets = np.sort(np.asarray(targets, dtype=np.float64).reshape(-1))
@@ -274,7 +246,5 @@ def run_until_converged(
         values = proc.ritz_values()
         idx = match_targets(values, targets, tol)
         if idx is not None:
-            basis = proc.snapshot()
-            _, vectors = np.linalg.eigh(basis.T)
-            return step * b, _lift(basis, values, vectors, np.asarray(idx))
+            return step * b, values[idx]
     raise NoConvergenceError(max_steps * b)

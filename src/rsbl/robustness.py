@@ -139,9 +139,10 @@ def tan_angle_krylov(spec: ClusterSpec, omega, steps: int) -> float:
 
     The orthonormal Krylov basis is split into its leading ``b*d`` rows V
     and the remainder; the tangent is the spectral norm of the remainder
-    times the (pseudo-)inverse of V. Returns ``inf`` when V is singular at
-    the 1e-14 gate, which is the correct tangent whenever an in-cluster
-    eigenvalue has multiplicity above b.
+    times the (pseudo-)inverse of V, read off the CS decomposition of the
+    basis. Returns ``inf`` when V is singular at the 1e-14 gate, which is
+    the correct tangent whenever an in-cluster eigenvalue has multiplicity
+    above b.
     """
     bd = spec.b * spec.d
     if spec.b * steps < bd:
@@ -150,14 +151,19 @@ def tan_angle_krylov(spec: ClusterSpec, omega, steps: int) -> float:
 
 
 def _tangent_from_basis(v: np.ndarray, bd: int) -> float:
-    """Largest principal-angle tangent of span(v) against the leading bd coordinates."""
+    """Largest principal-angle tangent of span(v) against the leading bd coordinates.
+
+    CS form (Bjorck & Golub, Math. Comp. 1973): with ``top = U S W^T`` the
+    columns of ``bottom @ W`` are orthogonal with norms equal to the sines,
+    so the tangents are those norms over S. Every singular value above the
+    ``1e-14`` gate counts; none is truncated as a least-squares solve would.
+    """
     top = v[:bd, :]
     bottom = v[bd:, :]
-    svals = np.linalg.svd(top, compute_uv=False)
+    _, svals, wt = np.linalg.svd(top, full_matrices=False)
     if svals[-1] < 1e-14:
         return math.inf
-    coeffs, *_ = np.linalg.lstsq(top.T, bottom.T, rcond=None)
-    return spectral_norm(coeffs.T)
+    return float(np.max(np.linalg.norm(bottom @ wt.T, axis=0) / svals))
 
 
 def _block_diag(blocks) -> np.ndarray:

@@ -187,16 +187,18 @@ def test_cli_rerun_byte_identical(tmp_path):
     assert (out1 / "probe_quantiles.csv").read_bytes() == (out2 / "probe_quantiles.csv").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["bound-verify", "sandwich"])
+@pytest.mark.parametrize("command", ["bound-verify", "sandwich", "table1", "lowrank"])
 def test_cli_csv_bytes_independent_of_blas_threads(tmp_path, command):
     # fresh processes, because OpenBLAS reads its thread count at load time
     src = str(Path(__file__).resolve().parent.parent / "src")
+    # one table1 trial already runs every (beta, b) cell of the default grid
+    trials = "1" if command == "table1" else "4"
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         subprocess.run(
-            [sys.executable, "-m", "rsbl", command, "--trials", "4", "--seed", "3", "--out", str(out)],
+            [sys.executable, "-m", "rsbl", command, "--trials", trials, "--seed", "3", "--out", str(out)],
             env=env, check=True, capture_output=True, timeout=300,
         )
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})

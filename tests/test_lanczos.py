@@ -11,7 +11,7 @@ from rsbl.lanczos import (
     rayleigh_ritz,
     run_until_converged,
 )
-from rsbl.linalg import RngStream, gaussian_matrix
+from rsbl.linalg import RankDeficientError, RngStream, gaussian_matrix
 
 
 def diag_operator(values):
@@ -70,11 +70,26 @@ def test_projected_matrix_is_block_tridiagonal():
 
 
 def test_breakdown_on_invariant_subspace():
+    # the remainder vanishes to roundoff: the scale gate in advance trips,
+    # not the rank gate inside qr_factor
     op = diag_operator(np.ones(10))
     omega = gaussian_matrix(10, 2, RngStream(5))
     with pytest.raises(BreakdownError) as info:
         block_lanczos(op, omega, 2)
     assert info.value.step == 2
+    assert info.value.__cause__ is None
+
+
+def test_breakdown_on_rank_deficient_block():
+    # the Krylov space of diag(1, 2, 3, 0, ...) from two columns has
+    # dimension 5, so the third block keeps one direction of norm O(1)
+    # and loses the other: qr_factor's rank gate trips
+    op = diag_operator([1.0, 2.0, 3.0] + [0.0] * 9)
+    omega = gaussian_matrix(12, 2, RngStream(16))
+    with pytest.raises(BreakdownError) as info:
+        block_lanczos(op, omega, 3)
+    assert info.value.step == 3
+    assert isinstance(info.value.__cause__, RankDeficientError)
 
 
 def test_breakdown_on_rank_deficient_initial_block():
@@ -129,18 +144,18 @@ def test_match_targets_greedy():
 def test_run_until_converged_identity():
     op = diag_operator(np.ones(12))
     omega = gaussian_matrix(12, 3, RngStream(9))
-    count, ritz = run_until_converged(op, omega, [1.0, 1.0, 1.0])
+    count, ritz_values = run_until_converged(op, omega, [1.0, 1.0, 1.0])
     assert count == 3
-    assert np.allclose(ritz.values, 1.0)
+    assert np.allclose(ritz_values, 1.0)
 
 
 def test_run_until_converged_counts_multiple_of_b():
     values = np.concatenate([np.linspace(1.0, 1.5, 6), np.linspace(-1.0, 0.0, 30)])
     op = diag_operator(values)
     omega = gaussian_matrix(36, 2, RngStream(10))
-    count, ritz = run_until_converged(op, omega, np.linspace(1.0, 1.5, 6), tol=1e-10)
+    count, ritz_values = run_until_converged(op, omega, np.linspace(1.0, 1.5, 6), tol=1e-10)
     assert count % 2 == 0
-    assert np.allclose(np.sort(ritz.values), np.linspace(1.0, 1.5, 6), atol=1e-10)
+    assert np.allclose(np.sort(ritz_values), np.linspace(1.0, 1.5, 6), atol=1e-10)
 
 
 def test_tightening_tolerance_never_lowers_count():

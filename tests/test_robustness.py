@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from helpers import fundamental_norms_loop, lagrange_scalar
+from rsbl.lanczos import block_lanczos
 from rsbl.linalg import RngStream, gaussian_matrix
 from rsbl.matpoly import NodeSet, solvent_chain
 from rsbl.robustness import (
@@ -80,6 +81,18 @@ def test_multiplicity_obstruction_returns_infinity():
         omega = gaussian_matrix(20, 2, RngStream(trial))
         for steps in (2, 3, 4):
             assert tan_angle_krylov(spec, omega, steps) == math.inf
+
+
+def test_krylov_tangent_counts_cosines_below_least_squares_cutoff():
+    # smallest cosine 1.03e-14: above the 1e-14 inf gate, below the
+    # 60 * eps * s_max cut-off a least-squares solve with rcond=None applies
+    spec = ExperimentFamily(sweep="alpha", variant="exterior").spec_for(4, 2.0**-5)
+    omega = gaussian_matrix(spec.n, spec.b, RngStream(1, 78))
+    v = block_lanczos(spec.operator(), omega, 4).V
+    c = np.linalg.svd(v[:60], compute_uv=False)[-1]
+    assert 1e-14 <= c < 60 * np.finfo(np.float64).eps
+    expected = math.sqrt(1.0 - c * c) / c
+    assert tan_angle_krylov(spec, omega, 4) == pytest.approx(expected, rel=1e-6)
 
 
 def test_route_equivalence():
