@@ -349,7 +349,9 @@ def run_probe(config: ExperimentConfig) -> RunResult:
     result = RunResult()
     lam_i = np.arange(1.0, 1.0 + config.b_list[0])
     lam_j = np.arange(1.0, 1.0 + config.b_list[0]) + config.b_list[0] + 1.0
-    quantiles = probe_solvent_difference(lam_i, lam_j, config.trials, config.seed)
+    quantiles = probe_solvent_difference(
+        lam_i, lam_j, config.trials, config.seed, config.canonical_key("probe")
+    )
     rows = [(format_number(q), v) for q, v in sorted(quantiles.items())]
     write_csv(os.path.join(out, "probe_quantiles.csv"), ("quantile", "value"), rows)
     result.files = ["probe_quantiles.csv"]

@@ -98,7 +98,14 @@ class RitzSet:
 
 
 class _Process:
-    """Incremental block Lanczos state; ``V`` and ``T`` are filled in place."""
+    """Incremental block Lanczos state.
+
+    ``V`` is filled in place, one block per step. ``T`` is kept as its
+    blocks: ``alpha[k]`` is the symmetrized diagonal block of step ``k`` and
+    ``beta[k]`` the R factor coupling block ``k`` to block ``k - 1``
+    (``beta[0]`` stays zero). ``tridiagonal()`` assembles the dense ``T``
+    only when a caller reads it.
+    """
 
     def __init__(self, op: LinearOperator, omega: np.ndarray, capacity: int):
         if omega.shape[0] != op.n:
@@ -110,10 +117,10 @@ class _Process:
             q0, _ = qr_factor(omega)
         except RankDeficientError as exc:
             raise BreakdownError(0) from exc
-        dim = self.b * capacity
-        self.V = np.empty((self.n, dim))
+        self.V = np.empty((self.n, self.b * capacity))
         self.V[:, : self.b] = q0
-        self.T = np.zeros((dim, dim))
+        self.alpha = np.empty((capacity, self.b, self.b))
+        self.beta = np.zeros((capacity, self.b, self.b))
         self.steps = 0
         self.remainder = None
         self._remainder_scale = 0.0
@@ -135,12 +142,11 @@ class _Process:
             if np.min(np.abs(np.diag(r))) < 1e-12 * self._remainder_scale:
                 raise BreakdownError(self.steps + 1)
             self.V[:, lo:hi] = q
-            self.T[lo:hi, lo - b:lo] = r
-            self.T[lo - b:lo, lo:hi] = r.T
+            self.beta[self.steps] = r
         cur = self.V[:, lo:hi]
         w = self.op.apply(cur)
         alpha = cur.T @ w
-        self.T[lo:hi, lo:hi] = 0.5 * (alpha + alpha.T)
+        self.alpha[self.steps] = 0.5 * (alpha + alpha.T)
         self._remainder_scale = float(np.linalg.norm(w))
         basis = self.V[:, :hi]
         for _ in range(2):
@@ -148,9 +154,80 @@ class _Process:
         self.remainder = w
         self.steps += 1
 
+    def tridiagonal(self) -> np.ndarray:
+        """Dense projected matrix ``T`` of the steps run so far."""
+        k, b = self.steps, self.b
+        t = np.zeros((k * b, k * b))
+        blocks = t.reshape(k, b, k, b)
+        idx = np.arange(k)
+        blocks[idx, :, idx, :] = self.alpha[:k]
+        blocks[idx[1:], :, idx[:-1], :] = self.beta[1:k]
+        blocks[idx[:-1], :, idx[1:], :] = self.beta[1:k].transpose(0, 2, 1)
+        return t
+
     def ritz_values(self) -> np.ndarray:
-        dim = self.b * self.steps
-        return np.linalg.eigvalsh(self.T[:dim, :dim])
+        return np.linalg.eigvalsh(self.tridiagonal())
+
+
+# Widening of a sentinel window beyond ``tol`` on each side: it absorbs the
+# rounding of both the inertia count and ``eigvalsh``, so an empty sentinel
+# means no Ritz value within ``tol`` of its target.
+SENTINEL_MARGIN = 1e-8
+# A pivot with an eigenvalue this close to zero (relative to max(1, ||A_k||)
+# of its diagonal block) cannot be trusted to give the inertia; the sentinel
+# is dropped.
+PIVOT_RTOL = 1e-10
+
+
+class _Sentinel:
+    """Sylvester inertia of ``T - sI`` at the two edges of one target window.
+
+    The block LDL^T pivots ``D_k(s) = A_k - sI - R_k D_(k-1)(s)^-1 R_k^T``
+    are extended one block at a time; the number of negative pivot
+    eigenvalues is the number of eigenvalues of ``T`` below ``s``. Equal
+    counts at both edges mean the window holds no eigenvalue of ``T``.
+    """
+
+    def __init__(self, lo: float, hi: float, b: int):
+        self.shifts = np.array([lo, hi])[:, None, None] * np.eye(b)
+        self.pivot = None
+        self.negatives = np.zeros(2, dtype=np.int64)
+
+    def extend(self, alpha: np.ndarray, beta: np.ndarray) -> bool:
+        """Append one block; False when a pivot is too close to singular to count."""
+        d = alpha - self.shifts
+        if self.pivot is not None:
+            d = d - beta @ np.linalg.solve(self.pivot, beta.T)
+            d = 0.5 * (d + d.transpose(0, 2, 1))
+        # one batched call: the two pivots and, last, the diagonal block for the scale
+        eig = np.linalg.eigvalsh(np.concatenate([d, alpha[None]]))
+        scale = max(1.0, float(np.abs(eig[2]).max()))
+        # written so that a NaN pivot trips the gate too
+        if not np.abs(eig[:2]).min() > PIVOT_RTOL * scale:
+            return False
+        self.negatives += (eig[:2] < 0.0).sum(axis=1)
+        self.pivot = d
+        return True
+
+    def empty(self) -> bool:
+        return self.negatives[0] == self.negatives[1]
+
+
+def _pick_sentinel(proc: _Process, values, targets, tol: float):
+    """Sentinel on the widened window farthest from any Ritz value, or None if none is empty.
+
+    Ties go to the lowest target index; a pivot tripping the gate also gives None.
+    """
+    gaps = np.abs(values[None, :] - targets[:, None]).min(axis=1)
+    i = int(np.argmax(gaps))
+    width = tol + SENTINEL_MARGIN
+    if not gaps[i] > width:
+        return None
+    sentinel = _Sentinel(targets[i] - width, targets[i] + width, proc.b)
+    for k in range(proc.steps):
+        if not sentinel.extend(proc.alpha[k], proc.beta[k]):
+            return None
+    return sentinel
 
 
 def block_lanczos(op: LinearOperator, omega, steps: int) -> BlockKrylovBasis:
@@ -173,9 +250,9 @@ def block_lanczos(op: LinearOperator, omega, steps: int) -> BlockKrylovBasis:
     proc = _Process(op, omega, capacity=steps)
     for _ in range(steps):
         proc.advance()
-    # capacity == steps, so the process buffers are exactly full
+    # capacity == steps, so the basis buffer is exactly full
     return BlockKrylovBasis(
-        n=proc.n, b=proc.b, steps=steps, V=proc.V, T=proc.T, remainder=proc.remainder
+        n=proc.n, b=proc.b, steps=steps, V=proc.V, T=proc.tridiagonal(), remainder=proc.remainder
     )
 
 
@@ -226,6 +303,17 @@ def run_until_converged(
     at the first step where every target has a Ritz value within ``tol``
     (absolute). Returns the matvec count at that step and the matched Ritz
     values, one per sorted target and in the same order.
+
+    The comparison (``eigvalsh`` of the whole ``T``, then ``match_targets``)
+    is skipped on steps where it provably fails. After a failed comparison
+    one target window, widened by ``SENTINEL_MARGIN`` on each side, is kept
+    as a sentinel: the empty one whose target lies farthest from any Ritz
+    value. Its two edges carry block LDL^T pivots of ``T - sI``, extended one
+    block per step; while their negative-pivot counts agree, no Ritz value
+    lies within ``tol`` of that target and the step is skipped. A pivot that
+    trips the ``PIVOT_RTOL`` gate drops the sentinel, and steps compare until
+    a new one is built. The returned count and values are those of the
+    every-step comparison.
     """
     omega = as_matrix(omega, "Omega")
     targets = np.sort(np.asarray(targets, dtype=np.float64).reshape(-1))
@@ -239,12 +327,18 @@ def run_until_converged(
     if targets.size > max_steps * b:
         raise ValueError("more targets than the subspace budget allows")
     proc = _Process(op, omega, capacity=max_steps)
+    sentinel = None
     for step in range(1, max_steps + 1):
         proc.advance()
         if step * b < targets.size:
             continue
+        if sentinel is not None:
+            k = step - 1
+            if sentinel.extend(proc.alpha[k], proc.beta[k]) and sentinel.empty():
+                continue
         values = proc.ritz_values()
         idx = match_targets(values, targets, tol)
         if idx is not None:
             return step * b, values[idx]
+        sentinel = _pick_sentinel(proc, values, targets, tol)
     raise NoConvergenceError(max_steps * b)

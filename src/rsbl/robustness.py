@@ -492,12 +492,14 @@ def probe_solvent_difference(
     lam_j,
     trials: int,
     master_seed: int,
+    key: str,
     quantiles=(0.01, 0.25, 0.5, 0.75, 0.99),
 ) -> dict:
     """Empirical quantiles of the smallest singular value of ``B_i - B_j``.
 
     Both solvents share deterministic diagonal spectra but carry fresh
-    independent Gaussian eigenvector matrices per trial. Purely an
+    independent Gaussian eigenvector matrices per trial, drawn from the
+    stream ``derive_stream_id(key, t)`` of trial ``t``. Purely an
     observational probe of the non-commuting difficulty; nothing is
     asserted about the distribution.
     """
@@ -511,7 +513,7 @@ def probe_solvent_difference(
     om_i = np.empty((trials, b, b))
     om_j = np.empty((trials, b, b))
     for t in range(trials):
-        rng = RngStream(master_seed, t)
+        rng = RngStream(master_seed, derive_stream_id(key, t))
         om_i[t] = gaussian_matrix(b, b, rng)
         om_j[t] = gaussian_matrix(b, b, rng)
     samples = smallest_singular(conjugate(om_i, lam_i) - conjugate(om_j, lam_j))

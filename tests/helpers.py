@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
+from rsbl.lanczos import NoConvergenceError, _Process, match_targets
 from rsbl.linalg import as_matrix, spectral_norm
 from rsbl.matpoly import MatrixPolynomial, NodeSet, fundamental_via_chain
 
@@ -69,6 +70,36 @@ def import_perfbench(name: str):
     if path not in sys.path:
         sys.path.insert(0, path)
     return importlib.import_module(name)
+
+
+def run_until_converged_reference(op, omega, targets, tol: float = 1e-10, max_matvecs=None):
+    """Every-step reference for ``run_until_converged``: a Ritz check after each block step.
+
+    It writes the projected matrix into one preallocated dense ``T`` as the
+    steps come, and runs ``eigvalsh`` and ``match_targets`` on its leading
+    part after every step, with no inertia prefilter.
+    """
+    omega = as_matrix(omega, "Omega")
+    targets = np.sort(np.asarray(targets, dtype=np.float64).reshape(-1))
+    b = omega.shape[1]
+    full_budget = b * (op.n // b)
+    max_steps = min(full_budget if max_matvecs is None else max_matvecs, full_budget) // b
+    proc = _Process(op, omega, capacity=max_steps)
+    t = np.zeros((b * max_steps, b * max_steps))
+    for step in range(1, max_steps + 1):
+        proc.advance()
+        lo, hi = (step - 1) * b, step * b
+        t[lo:hi, lo:hi] = proc.alpha[step - 1]
+        if step > 1:
+            t[lo:hi, lo - b:lo] = proc.beta[step - 1]
+            t[lo - b:lo, lo:hi] = proc.beta[step - 1].T
+        if hi < targets.size:
+            continue
+        values = np.linalg.eigvalsh(t[:hi, :hi])
+        idx = match_targets(values, targets, tol)
+        if idx is not None:
+            return hi, values[idx]
+    raise NoConvergenceError(max_steps * b)
 
 
 def naive_eval(p: MatrixPolynomial, x: np.ndarray) -> np.ndarray:

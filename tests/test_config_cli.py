@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import rsbl.robustness
 from helpers import import_perfbench
 from rsbl.cli import build_parser, main, resolve_config
 from rsbl.config import ExperimentConfig, derive_stream_id
-from rsbl.experiments import fit_loglog, format_number, run_sandwich, write_csv
+from rsbl.experiments import fit_loglog, format_number, run_probe, run_sandwich, write_csv
+from rsbl.linalg import RngStream
 
 
 def test_config_round_trip():
@@ -108,6 +110,26 @@ def test_cli_probe_quantiles(tmp_path):
     assert lines[0] == "quantile,value"
     values = [float(line.split(",")[1]) for line in lines[1:]]
     assert values == sorted(values)
+
+
+def test_probe_streams_keyed_by_config(tmp_path, monkeypatch):
+    # probes with the same seed but different block sizes must not share draws
+    drawn = []
+
+    class RecordingStream(RngStream):
+        def __post_init__(self):
+            drawn.append(self.stream_id)
+            super().__post_init__()
+
+    monkeypatch.setattr(rsbl.robustness, "RngStream", RecordingStream)
+    streams = {}
+    for b in (2, 3):
+        drawn.clear()
+        config = ExperimentConfig(experiment="probe", b_list=(b,), trials=5, out_dir=str(tmp_path))
+        run_probe(config)
+        streams[b] = set(drawn)
+    assert len(streams[2]) == len(streams[3]) == 5
+    assert streams[2].isdisjoint(streams[3])
 
 
 def test_cli_bound_verify_small(tmp_path):

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from helpers import symmetry_defect
+from helpers import run_until_converged_reference, symmetry_defect
 from rsbl.lanczos import (
+    SENTINEL_MARGIN,
     BreakdownError,
     LinearOperator,
     NoConvergenceError,
+    _Process,
+    _Sentinel,
     block_lanczos,
     match_targets,
     rayleigh_ritz,
@@ -176,6 +181,141 @@ def test_run_until_converged_budget():
     omega = gaussian_matrix(48, 1, RngStream(12))
     with pytest.raises(NoConvergenceError):
         run_until_converged(op, omega, np.linspace(1.0, 1.0001, 8), tol=1e-14, max_matvecs=9)
+
+
+def _outcome(run, op, omega, targets, **kwargs):
+    try:
+        count, values = run(op, omega, targets, **kwargs)
+    except NoConvergenceError as exc:
+        return "no convergence", exc.matvecs
+    return count, values.tobytes()
+
+
+def _equivalence_cases():
+    """(operator diagonal, targets, b, seed, keyword arguments): 200 runs in all."""
+    n = 90
+    for beta in (1.0, 1e-3):
+        # seven targets, a count none of b = 2, 3, 4 divides
+        lam = np.linspace(1.0, 1.0 + beta, 7)
+        values = np.concatenate([lam, np.linspace(-1.0, 0.0, n - 7)])
+        for b in (1, 2, 3, 4):
+            for seed in range(20):
+                yield values, lam, b, seed, {}
+    # overlapping windows: three targets at 1 against a triple inside tol
+    triple = np.concatenate([[1.0 - 4e-11, 1.0, 1.0 + 4e-11], np.linspace(-1.0, 0.0, n - 3)])
+    # budget exhaustion: a narrow cluster cannot converge within 12 steps
+    lam = np.linspace(1.0, 1.001, 7)
+    narrow = np.concatenate([lam, np.linspace(-1.0, 0.0, n - 7)])
+    for b in (1, 2, 3, 4):
+        for seed in range(5):
+            yield triple, [1.0, 1.0, 1.0], b, seed, {}
+            yield narrow, lam, b, seed, {"max_matvecs": 12 * b}
+
+
+@pytest.fixture
+def ritz_checks(monkeypatch):
+    """The step of every Ritz check ``run_until_converged`` runs (the reference runs none)."""
+    checks = []
+    ritz_values = _Process.ritz_values
+
+    def counted(self):
+        checks.append(self.steps)
+        return ritz_values(self)
+
+    monkeypatch.setattr(_Process, "ritz_values", counted)
+    return checks
+
+
+def test_run_until_converged_matches_every_step_reference(ritz_checks):
+    runs = steps = misses = 0
+    for values, targets, b, seed, kwargs in _equivalence_cases():
+        omega = gaussian_matrix(values.size, b, RngStream(seed, b))
+        expected = _outcome(run_until_converged_reference, diag_operator(values), omega, targets,
+                            **kwargs)
+        op = diag_operator(values)
+        got = _outcome(run_until_converged, op, omega, targets, **kwargs)
+        assert got == expected, (b, seed, targets)
+        runs += 1
+        steps += op.matvec_count // b
+        misses += expected[0] == "no convergence"
+    assert runs >= 200
+    assert misses >= 20
+    # the prefilter must actually skip comparisons, not just agree
+    assert len(ritz_checks) < steps / 4
+
+
+def test_sentinel_gate_trips_on_singular_pivot(ritz_checks):
+    # omega = e_1 makes the first diagonal block exactly a[0, 0]; the lower
+    # edge of the first target's window sits on it, so the first pivot
+    # there is exactly zero and must drop the sentinel
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((10, 10))
+    a = a + a.T
+    omega = np.zeros((10, 1))
+    omega[0, 0] = 1.0
+    a00 = a[0, 0]
+    width = 1e-10 + SENTINEL_MARGIN
+    target = a00 + width
+    while target - width != a00:
+        target = np.nextafter(target, -np.inf if target - width > a00 else np.inf)
+    theta = np.linalg.eigvalsh(block_lanczos(LinearOperator.from_dense(a), omega, 2).T)
+    # at step 2 the first window is empty and the second is filled
+    assert np.abs(theta - target).min() > width
+    targets = [target, theta[1]]
+    expected = _outcome(run_until_converged_reference, LinearOperator.from_dense(a), omega,
+                        targets)
+    got = _outcome(run_until_converged, LinearOperator.from_dense(a), omega, targets)
+    assert got == expected == ("no convergence", 10)
+    # the sentinel built after the step-2 comparison was dropped, so step 3 compares
+    assert ritz_checks[:2] == [2, 3]
+
+
+def test_sentinel_window_covers_the_whole_tolerance():
+    # the target sits 0.9 tol above the top Ritz value of step 5, which
+    # climbed from far below: only the full-width window sees it arrive
+    values = np.linspace(-1.0, 1.0, 60)
+    omega = gaussian_matrix(60, 1, RngStream(31))
+    tol = 1e-4
+    theta = [np.linalg.eigvalsh(block_lanczos(diag_operator(values), omega, k).T)[-1]
+             for k in (4, 5)]
+    target = theta[1] + 0.9 * tol
+    assert theta[0] < target - 2 * tol
+    expected = _outcome(run_until_converged_reference, diag_operator(values), omega, [target],
+                        tol=tol)
+    assert expected[0] == 5
+    got = _outcome(run_until_converged, diag_operator(values), omega, [target], tol=tol)
+    assert got == expected
+
+
+def _block_tridiagonal(alpha, beta):
+    k, b, _ = alpha.shape
+    t = np.zeros((k * b, k * b))
+    for j in range(k):
+        t[j * b:(j + 1) * b, j * b:(j + 1) * b] = alpha[j]
+        if j:
+            t[j * b:(j + 1) * b, (j - 1) * b:j * b] = beta[j]
+            t[(j - 1) * b:j * b, j * b:(j + 1) * b] = beta[j].T
+    return t
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    b=st.integers(1, 4),
+    k=st.integers(1, 30),
+    seed=st.integers(0, 2**32 - 1),
+    shift=st.floats(-6.0, 6.0),
+)
+def test_sentinel_negative_pivots_count_eigenvalues_below_shift(b, k, seed, shift):
+    rng = np.random.default_rng(seed)
+    alpha = rng.standard_normal((k, b, b))
+    alpha = alpha + alpha.transpose(0, 2, 1)
+    beta = rng.standard_normal((k, b, b))
+    beta[0] = 0.0
+    eig = np.linalg.eigvalsh(_block_tridiagonal(alpha, beta))
+    assume(np.abs(eig - shift).min() >= 1e-6)
+    sentinel = _Sentinel(shift, shift, b)
+    if all(sentinel.extend(alpha[j], beta[j]) for j in range(k)):
+        assert sentinel.negatives[0] == np.count_nonzero(eig < shift)
 
 
 def test_shift_scale_invariance_of_span():

@@ -327,19 +327,21 @@ def test_sandwich_random_pairs():
 
 
 def test_probe_scalar_multiple_blocks():
-    q = probe_solvent_difference(2.0 * np.ones(2), 5.0 * np.ones(2), 50, master_seed=0)
+    q = probe_solvent_difference(
+        2.0 * np.ones(2), 5.0 * np.ones(2), 50, master_seed=0, key="probe"
+    )
     for v in q.values():
         assert v == pytest.approx(3.0, rel=1e-10)
 
 
 def test_probe_b1_exact():
-    q = probe_solvent_difference([1.0], [4.5], 50, master_seed=1)
+    q = probe_solvent_difference([1.0], [4.5], 50, master_seed=1, key="probe")
     values = list(q.values())
     assert all(v == pytest.approx(3.5, abs=1e-12) for v in values)
 
 
 def test_probe_quantiles_monotone():
-    q = probe_solvent_difference([1.0, 2.0], [3.0, 4.0], 300, master_seed=2)
+    q = probe_solvent_difference([1.0, 2.0], [3.0, 4.0], 300, master_seed=2, key="probe")
     ordered = [q[k] for k in sorted(q)]
     assert ordered == sorted(ordered)
     assert ordered[0] > 0.0
