@@ -1,10 +1,14 @@
 """Block Lanczos with full reorthogonalization and Rayleigh-Ritz extraction.
 
 The process builds an orthonormal basis of the block Krylov subspace
-``range[Omega, A Omega, ..., A^(l-1) Omega]`` one block per step, applying
-the operator exactly once per step so a run of ``l`` steps costs exactly
-``b * l`` matrix-vector products (the initial block costs none). Each new
-block is re-projected against the whole basis twice before its QR.
+``range[Omega, A Omega, ..., A^(l-1) Omega]`` one block per step. A step
+extends the basis by the QR of the previous step's remainder, then applies
+the operator once to the new block and re-projects the result against the
+whole basis twice; the initial block costs no matvec. Cost per entry point
+for ``l`` steps of width ``b``: :func:`block_lanczos` ``b * l`` matvecs
+(it also needs the last block's image, for ``T`` and the remainder);
+:func:`krylov_basis` ``b * (l - 1)`` (the last block is never applied);
+:func:`run_until_converged` ``b`` per step it runs.
 """
 from __future__ import annotations
 
@@ -126,24 +130,31 @@ class _Process:
         self._remainder_scale = 0.0
 
     def advance(self):
-        """Run one block step: extend the basis if needed, then apply the operator."""
-        b = self.b
+        """Run one block step: extend the basis (from step 1 on), then project."""
         if self.steps >= self.capacity:
             raise ValueError("process capacity exhausted")
-        lo, hi = self.steps * b, (self.steps + 1) * b
         if self.steps > 0:
-            # rank gate floored at the pre-orthogonalization scale so an
-            # (almost) invariant subspace registers as a breakdown instead
-            # of admitting roundoff noise as a basis block
-            try:
-                q, r = qr_factor(self.remainder)
-            except RankDeficientError as exc:
-                raise BreakdownError(self.steps + 1) from exc
-            if np.min(np.abs(np.diag(r))) < 1e-12 * self._remainder_scale:
-                raise BreakdownError(self.steps + 1)
-            self.V[:, lo:hi] = q
-            self.beta[self.steps] = r
-        cur = self.V[:, lo:hi]
+            self.extend()
+        self.project()
+
+    def extend(self):
+        """QR the remainder of the last step into block ``steps`` of ``V``."""
+        # rank gate floored at the pre-orthogonalization scale so an
+        # (almost) invariant subspace registers as a breakdown instead
+        # of admitting roundoff noise as a basis block
+        try:
+            q, r = qr_factor(self.remainder)
+        except RankDeficientError as exc:
+            raise BreakdownError(self.steps + 1) from exc
+        if np.min(np.abs(np.diag(r))) < 1e-12 * self._remainder_scale:
+            raise BreakdownError(self.steps + 1)
+        self.V[:, self.steps * self.b:(self.steps + 1) * self.b] = q
+        self.beta[self.steps] = r
+
+    def project(self):
+        """Apply the operator to block ``steps``; form ``alpha`` and the new remainder."""
+        hi = (self.steps + 1) * self.b
+        cur = self.V[:, hi - self.b:hi]
         w = self.op.apply(cur)
         alpha = cur.T @ w
         self.alpha[self.steps] = 0.5 * (alpha + alpha.T)
@@ -230,6 +241,15 @@ def _pick_sentinel(proc: _Process, values, targets, tol: float):
     return sentinel
 
 
+def _start(op: LinearOperator, omega, steps: int) -> _Process:
+    omega = as_matrix(omega, "Omega")
+    if steps < 1:
+        raise ValueError("steps must be >= 1")
+    if omega.shape[1] * steps > op.n:
+        raise ValueError("requested subspace exceeds the operator dimension")
+    return _Process(op, omega, capacity=steps)
+
+
 def block_lanczos(op: LinearOperator, omega, steps: int) -> BlockKrylovBasis:
     """Run ``steps`` block Lanczos steps with full reorthogonalization.
 
@@ -242,18 +262,29 @@ def block_lanczos(op: LinearOperator, omega, steps: int) -> BlockKrylovBasis:
     steps:
         Number of block steps; ``b * steps <= n`` is required.
     """
-    omega = as_matrix(omega, "Omega")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if omega.shape[1] * steps > op.n:
-        raise ValueError("requested subspace exceeds the operator dimension")
-    proc = _Process(op, omega, capacity=steps)
+    proc = _start(op, omega, steps)
     for _ in range(steps):
         proc.advance()
     # capacity == steps, so the basis buffer is exactly full
     return BlockKrylovBasis(
         n=proc.n, b=proc.b, steps=steps, V=proc.V, T=proc.tridiagonal(), remainder=proc.remainder
     )
+
+
+def krylov_basis(op: LinearOperator, omega, steps: int) -> np.ndarray:
+    """Orthonormal basis ``V`` (n x b*steps) of the ``steps``-block Krylov subspace.
+
+    The same ``V`` as ``block_lanczos(op, omega, steps).V``, bit for bit,
+    without the last block's operator apply and projection: the counter
+    increases by exactly ``b * (steps - 1)``. Breakdowns raise the same
+    :class:`BreakdownError` at the same step.
+    """
+    proc = _start(op, omega, steps)
+    for _ in range(steps - 1):
+        proc.advance()
+    if steps > 1:
+        proc.extend()
+    return proc.V
 
 
 def rayleigh_ritz(basis: BlockKrylovBasis, how_many: int, which: str = "largest") -> RitzSet:

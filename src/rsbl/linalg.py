@@ -68,16 +68,43 @@ def gaussian_matrix(rows: int, cols: int, rng: RngStream) -> np.ndarray:
     return rng.standard_normal(rows, cols)
 
 
+# CholeskyQR2 runs only while ||R1||_F ||inv(R1)||_F stays at or below this:
+# then the second pass restores orthogonality to roundoff, and
+# min diag(R) >= sigma_min(M) > 1e-12 ||M||, so the rank gate cannot trip.
+CHOLESKY_QR_COND_LIMIT = 1e6
+
+
 def qr_factor(m) -> tuple[np.ndarray, np.ndarray]:
     """Thin QR factorization with nonnegative R diagonal.
 
-    Raises :class:`RankDeficientError` when any diagonal entry of R falls
+    CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015):
+    ``R1 = chol(M^T M)^T`` and ``Q1 = M inv(R1)``, repeated once on ``Q1``,
+    give ``Q`` and ``R = R2 R1`` with a positive diagonal. When the Cholesky
+    factorization fails or ``||R1||_F ||inv(R1)||_F`` exceeds
+    ``CHOLESKY_QR_COND_LIMIT``, Householder QR with a sign fix takes over
+    and raises :class:`RankDeficientError` when any diagonal entry of R falls
     below ``1e-12 * ||M||``; callers decide whether to deflate or abort.
     """
     m = as_matrix(m)
     rows, cols = m.shape
     if rows < cols:
         raise ValueError("qr_factor requires rows >= cols")
+    try:
+        r1 = np.linalg.cholesky(m.T @ m).T
+        r1_inv = np.linalg.inv(r1)
+        # written so that a NaN or Inf estimate also falls back
+        if np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= CHOLESKY_QR_COND_LIMIT:
+            q1 = m @ r1_inv
+            r2 = np.linalg.cholesky(q1.T @ q1).T
+            return q1 @ np.linalg.inv(r2), r2 @ r1
+    except np.linalg.LinAlgError:
+        pass
+    return _householder_qr(m)
+
+
+def _householder_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Householder QR with a sign fix and the ``1e-12`` rank gate: the fallback of qr_factor."""
+    cols = m.shape[1]
     q, r = np.linalg.qr(m)
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     q = q * signs

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import derive_stream_id
-from .lanczos import LinearOperator, block_lanczos, rayleigh_ritz
+from .lanczos import LinearOperator, block_lanczos, krylov_basis, rayleigh_ritz
 from .linalg import (
     RngStream,
     SingularMatrixError,
@@ -147,7 +147,7 @@ def tan_angle_krylov(spec: ClusterSpec, omega, steps: int) -> float:
     bd = spec.b * spec.d
     if spec.b * steps < bd:
         raise ValueError("need at least d block steps to resolve the cluster")
-    return _tangent_from_basis(block_lanczos(spec.operator(), omega, steps).V, bd)
+    return _tangent_from_basis(krylov_basis(spec.operator(), omega, steps), bd)
 
 
 def _tangent_from_basis(v: np.ndarray, bd: int) -> float:
@@ -155,15 +155,15 @@ def _tangent_from_basis(v: np.ndarray, bd: int) -> float:
 
     CS form (Bjorck & Golub, Math. Comp. 1973): with ``top = U S W^T`` the
     columns of ``bottom @ W`` are orthogonal with norms equal to the sines,
-    so the tangents are those norms over S. Every singular value above the
-    ``1e-14`` gate counts; none is truncated as a least-squares solve would.
+    so the tangents are those norms over S. The largest angle pairs with the
+    smallest singular value, so only the last column of ``W`` is applied.
+    The cosine ``S[-1]`` counts whenever it clears the ``1e-14`` gate; it is
+    not truncated as a least-squares solve would.
     """
-    top = v[:bd, :]
-    bottom = v[bd:, :]
-    _, svals, wt = np.linalg.svd(top, full_matrices=False)
+    _, svals, wt = np.linalg.svd(v[:bd, :], full_matrices=False)
     if svals[-1] < 1e-14:
         return math.inf
-    return float(np.max(np.linalg.norm(bottom @ wt.T, axis=0) / svals))
+    return float(np.linalg.norm(v[bd:, :] @ wt[-1]) / svals[-1])
 
 
 def _block_diag(blocks) -> np.ndarray:
@@ -549,7 +549,7 @@ def chebyshev_accel_check(
         raise ZeroGapError("cluster must hold the strictly largest eigenvalues")
     gamma = gap / (spec.lambda_max - spec.lambda_min)
     bd = spec.b * spec.d
-    v = block_lanczos(spec.operator(), omega, steps).V
+    v = krylov_basis(spec.operator(), omega, steps)
     measured = _tangent_from_basis(v, bd)
     base = _tangent_from_basis(v[:, :bd], bd)
     reference = base / chebyshev_value(steps - spec.d, 1.0 + 2.0 * gamma)

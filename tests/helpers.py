@@ -7,6 +7,7 @@ ones. It also holds the test-only helpers the package itself never calls
 (the symmetric eigensolver and the operator symmetry spot-check).
 """
 import importlib
+import math
 import sys
 from pathlib import Path
 
@@ -100,6 +101,18 @@ def run_until_converged_reference(op, omega, targets, tol: float = 1e-10, max_ma
         if idx is not None:
             return hi, values[idx]
     raise NoConvergenceError(max_steps * b)
+
+
+def tangent_all_columns(v, bd: int) -> float:
+    """All-columns CS oracle for the largest principal-angle tangent of span(v).
+
+    With ``top = v[:bd] = U S W^T`` every tangent ``||v[bd:] @ W[:, i]|| / S[i]``
+    is formed and the largest returned; ``inf`` when ``S[-1] < 1e-14``.
+    """
+    _, svals, wt = np.linalg.svd(v[:bd, :], full_matrices=False)
+    if svals[-1] < 1e-14:
+        return math.inf
+    return float(np.max(np.linalg.norm(v[bd:, :] @ wt.T, axis=0) / svals))
 
 
 def naive_eval(p: MatrixPolynomial, x: np.ndarray) -> np.ndarray:

@@ -209,18 +209,24 @@ def test_cli_rerun_byte_identical(tmp_path):
     assert (out1 / "probe_quantiles.csv").read_bytes() == (out2 / "probe_quantiles.csv").read_bytes()
 
 
-@pytest.mark.parametrize("command", ["bound-verify", "sandwich", "table1", "lowrank"])
+@pytest.mark.parametrize(
+    "command", ["bound-verify", "sandwich", "table1", "lowrank", "cluster-robustness"]
+)
 def test_cli_csv_bytes_independent_of_blas_threads(tmp_path, command):
     # fresh processes, because OpenBLAS reads its thread count at load time
     src = str(Path(__file__).resolve().parent.parent / "src")
     # one table1 trial already runs every (beta, b) cell of the default grid
-    trials = "1" if command == "table1" else "4"
+    trials = {"table1": "1", "cluster-robustness": "3"}.get(command, "4")
+    config = tmp_path / "small.cfg"
+    # a small cluster-robustness operator: every sweep point, both variants
+    config.write_text("n = 300\n" if command == "cluster-robustness" else "")
     outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
         subprocess.run(
-            [sys.executable, "-m", "rsbl", command, "--trials", trials, "--seed", "3", "--out", str(out)],
+            [sys.executable, "-m", "rsbl", command, "--config", str(config), "--trials", trials,
+             "--seed", "3", "--out", str(out)],
             env=env, check=True, capture_output=True, timeout=300,
         )
         outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})

@@ -12,6 +12,7 @@ from rsbl.lanczos import (
     _Process,
     _Sentinel,
     block_lanczos,
+    krylov_basis,
     match_targets,
     rayleigh_ritz,
     run_until_converged,
@@ -110,6 +111,39 @@ def test_matvec_counter_is_exact():
         omega = gaussian_matrix(50, 4, RngStream(6))
         block_lanczos(op, omega, steps)
         assert op.matvec_count == 4 * steps
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4])
+def test_krylov_basis_matches_block_lanczos_bitwise(b):
+    rng = np.random.default_rng(20)
+    a = rng.standard_normal((30, 30))
+    a = a + a.T
+    omega = gaussian_matrix(30, b, RngStream(21, b))
+    for steps in range(1, 6):
+        full = block_lanczos(LinearOperator.from_dense(a), omega, steps)
+        op = LinearOperator.from_dense(a)
+        v = krylov_basis(op, omega, steps)
+        assert v.shape == (30, b * steps)
+        assert np.array_equal(v, full.V)
+        assert op.matvec_count == b * (steps - 1)
+
+
+@pytest.mark.parametrize(
+    "values, b, seed, steps",
+    [
+        (np.ones(10), 2, 5, 2),  # invariant subspace: the scale gate
+        ([1.0, 2.0, 3.0] + [0.0] * 9, 2, 16, 3),  # rank-deficient block: qr_factor's gate
+    ],
+)
+def test_krylov_basis_breaks_down_like_block_lanczos(values, b, seed, steps):
+    omega = gaussian_matrix(len(values), b, RngStream(seed))
+    errors = []
+    for build in (block_lanczos, krylov_basis):
+        with pytest.raises(BreakdownError) as info:
+            build(diag_operator(values), omega, steps)
+        errors.append(info.value)
+    assert errors[0].step == errors[1].step == steps
+    assert type(errors[0].__cause__) is type(errors[1].__cause__)
 
 
 def test_rayleigh_ritz_selection():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import NotSymmetricError, sym_eig
+from rsbl import linalg
 from rsbl.linalg import (
     RankDeficientError,
     RngStream,
@@ -74,6 +75,53 @@ def test_qr_rank_deficient():
         qr_factor(np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(RankDeficientError):
         qr_factor(np.zeros((4, 2)))
+
+
+def _conditioned(kappa, rows=1000, cols=20, seed=0, last_alone=False):
+    """rows x cols matrix with singular values log-spaced from 1 down to 1/kappa.
+
+    With ``last_alone`` the smallest singular direction is the last column
+    alone, so that column's distance to the others (the last diagonal entry
+    of R) equals ``1/kappa``.
+    """
+    rng = np.random.default_rng(seed)
+    u, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
+    k = cols - 1 if last_alone else cols
+    v = np.eye(cols)
+    v[:k, :k], _ = np.linalg.qr(rng.standard_normal((k, k)))
+    return (u * np.logspace(0.0, -np.log10(kappa), cols)) @ v.T
+
+
+@pytest.mark.parametrize(
+    "kappa, falls_back",
+    [
+        (1e3, False),
+        (1e7, True),  # the Cholesky factor exists but its estimate exceeds the limit
+        (1e9, True),  # the Cholesky factorization of the Gram matrix fails
+        (1e11, True),
+    ],
+)
+def test_qr_cholesky_fallback_gate(monkeypatch, kappa, falls_back):
+    fallbacks = []
+    householder = linalg._householder_qr
+
+    def counted(m):
+        fallbacks.append(m.shape)
+        return householder(m)
+
+    monkeypatch.setattr(linalg, "_householder_qr", counted)
+    m = _conditioned(kappa)
+    q, r = qr_factor(m)
+    assert len(fallbacks) == falls_back
+    assert np.linalg.norm(q.T @ q - np.eye(20), 2) <= 1e-13 * np.sqrt(20)
+    assert np.linalg.norm(q @ r - m, 2) <= 1e-13 * np.linalg.norm(m, 2)
+    assert np.all(np.diag(r) >= 0.0)
+    assert np.array_equal(r, np.triu(r))
+
+
+def test_qr_rank_gate_trips_past_the_fallback():
+    with pytest.raises(RankDeficientError):
+        qr_factor(_conditioned(1e13, last_alone=True))
 
 
 def test_sym_eig_diagonal():

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import fundamental_norms_loop, lagrange_scalar
+from helpers import fundamental_norms_loop, lagrange_scalar, tangent_all_columns
 from rsbl.lanczos import block_lanczos
 from rsbl.linalg import RngStream, gaussian_matrix
 from rsbl.matpoly import NodeSet, solvent_chain
@@ -15,6 +17,7 @@ from rsbl.robustness import (
     SingularDifferenceError,
     SingularKError,
     ZeroGapError,
+    _tangent_from_basis,
     _vandermonde_route,
     c_omega,
     chebyshev_accel_check,
@@ -93,6 +96,40 @@ def test_krylov_tangent_counts_cosines_below_least_squares_cutoff():
     assert 1e-14 <= c < 60 * np.finfo(np.float64).eps
     expected = math.sqrt(1.0 - c * c) / c
     assert tan_angle_krylov(spec, omega, 4) == pytest.approx(expected, rel=1e-6)
+
+
+@st.composite
+def _basis_with_cosines(draw):
+    """Orthonormal n x k basis whose leading bd rows have prescribed cosines.
+
+    Cosines are log-uniform in [1e-16, 0.99], with clusters: repeats of a few
+    values, some nudged by 1e-15 relative. ``k - bd`` extra columns lie in
+    the trailing rows only, so the top rows have exactly bd singular values.
+    """
+    bd = draw(st.integers(1, 8))
+    k = bd + draw(st.integers(0, 6))
+    n = bd + k + draw(st.integers(0, 10))
+    centers = draw(st.lists(st.floats(-16.0, math.log10(0.99)), min_size=1, max_size=3))
+    picks = draw(st.lists(st.integers(0, len(centers) - 1), min_size=bd, max_size=bd))
+    nudges = draw(st.lists(st.sampled_from([0.0, 1.0, -1.0]), min_size=bd, max_size=bd))
+    cos = np.array([10.0 ** centers[i] * (1.0 + 1e-15 * e) for i, e in zip(picks, nudges)])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = np.zeros((bd, k))
+    top[:, :bd] = np.linalg.qr(rng.standard_normal((bd, bd)))[0] * cos
+    sines = np.ones(k)
+    sines[:bd] = np.sqrt(1.0 - cos**2)
+    bottom = np.linalg.qr(rng.standard_normal((n - bd, k)))[0] * sines
+    w = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    return np.vstack([top, bottom]) @ w.T, bd
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_basis_with_cosines())
+def test_tangent_from_basis_matches_all_columns_oracle(case):
+    v, bd = case
+    got, expected = _tangent_from_basis(v, bd), tangent_all_columns(v, bd)
+    if math.isfinite(got) or math.isfinite(expected):
+        assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_route_equivalence():
