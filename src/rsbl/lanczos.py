@@ -9,6 +9,13 @@ for ``l`` steps of width ``b``: :func:`block_lanczos` ``b * l`` matvecs
 (it also needs the last block's image, for ``T`` and the remainder);
 :func:`krylov_basis` ``b * (l - 1)`` (the last block is never applied);
 :func:`run_until_converged` ``b`` per step it runs.
+
+The basis is stored as rows, one basis vector per row of a
+``(b * capacity, n)`` buffer, so the blocks built so far are one contiguous
+slab: each reorthogonalization pass streams exactly those rows, and the
+rows of blocks not yet built are never touched, so the pages of a large
+buffer beyond them are never faulted in. The ``n x (b * steps)`` basis the
+entry points return is the transposed view of that buffer.
 """
 from __future__ import annotations
 
@@ -40,6 +47,8 @@ class LinearOperator:
 
     ``apply`` receives an n-by-b block and must act linearly and
     symmetrically; each call increments the counter by the block width.
+    The block may be a non-contiguous view into the Lanczos basis: the
+    operator must not write into it or keep a reference to it.
     The counter is the only mutable state, so an operator instance must not
     be shared across concurrent basis builds.
     """
@@ -104,7 +113,9 @@ class RitzSet:
 class _Process:
     """Incremental block Lanczos state.
 
-    ``V`` is filled in place, one block per step. ``T`` is kept as its
+    ``Vt`` holds the basis as rows, filled in place one block (``b`` rows)
+    per step; ``Vt[:steps * b]`` is the contiguous slab of the blocks built
+    so far, and the passes read nothing beyond it. ``T`` is kept as its
     blocks: ``alpha[k]`` is the symmetrized diagonal block of step ``k`` and
     ``beta[k]`` the R factor coupling block ``k`` to block ``k - 1``
     (``beta[0]`` stays zero). ``tridiagonal()`` assembles the dense ``T``
@@ -121,8 +132,8 @@ class _Process:
             q0, _ = qr_factor(omega)
         except RankDeficientError as exc:
             raise BreakdownError(0) from exc
-        self.V = np.empty((self.n, self.b * capacity))
-        self.V[:, : self.b] = q0
+        self.Vt = np.empty((self.b * capacity, self.n))
+        self.Vt[: self.b] = q0.T
         self.alpha = np.empty((capacity, self.b, self.b))
         self.beta = np.zeros((capacity, self.b, self.b))
         self.steps = 0
@@ -138,7 +149,7 @@ class _Process:
         self.project()
 
     def extend(self):
-        """QR the remainder of the last step into block ``steps`` of ``V``."""
+        """QR the remainder of the last step into block ``steps`` of the basis."""
         # rank gate floored at the pre-orthogonalization scale so an
         # (almost) invariant subspace registers as a breakdown instead
         # of admitting roundoff noise as a basis block
@@ -148,20 +159,20 @@ class _Process:
             raise BreakdownError(self.steps + 1) from exc
         if np.min(np.abs(np.diag(r))) < 1e-12 * self._remainder_scale:
             raise BreakdownError(self.steps + 1)
-        self.V[:, self.steps * self.b:(self.steps + 1) * self.b] = q
+        self.Vt[self.steps * self.b:(self.steps + 1) * self.b] = q.T
         self.beta[self.steps] = r
 
     def project(self):
         """Apply the operator to block ``steps``; form ``alpha`` and the new remainder."""
         hi = (self.steps + 1) * self.b
-        cur = self.V[:, hi - self.b:hi]
-        w = self.op.apply(cur)
-        alpha = cur.T @ w
+        cur = self.Vt[hi - self.b:hi]
+        w = self.op.apply(cur.T)
+        alpha = cur @ w
         self.alpha[self.steps] = 0.5 * (alpha + alpha.T)
         self._remainder_scale = float(np.linalg.norm(w))
-        basis = self.V[:, :hi]
+        basis = self.Vt[:hi]
         for _ in range(2):
-            w = w - basis @ (basis.T @ w)
+            w = w - basis.T @ (basis @ w)
         self.remainder = w
         self.steps += 1
 
@@ -267,7 +278,8 @@ def block_lanczos(op: LinearOperator, omega, steps: int) -> BlockKrylovBasis:
         proc.advance()
     # capacity == steps, so the basis buffer is exactly full
     return BlockKrylovBasis(
-        n=proc.n, b=proc.b, steps=steps, V=proc.V, T=proc.tridiagonal(), remainder=proc.remainder
+        n=proc.n, b=proc.b, steps=steps, V=proc.Vt.T, T=proc.tridiagonal(),
+        remainder=proc.remainder,
     )
 
 
@@ -284,7 +296,7 @@ def krylov_basis(op: LinearOperator, omega, steps: int) -> np.ndarray:
         proc.advance()
     if steps > 1:
         proc.extend()
-    return proc.V
+    return proc.Vt.T
 
 
 def rayleigh_ritz(basis: BlockKrylovBasis, how_many: int, which: str = "largest") -> RitzSet:

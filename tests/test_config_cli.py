@@ -159,6 +159,32 @@ def test_cli_table1_single_cell_from_config(tmp_path):
     assert 60 <= count <= 90  # single-vector run lands near the reference count
 
 
+# Matvec counts of a small Table 1 run (n = 400, seed 8064113, 3 trials),
+# recorded before the Lanczos basis was stored as rows: a change to the
+# storage or the kernels of the Lanczos process must not move a single count.
+TABLE1_SMALL_COUNTS = {
+    ("beta=1.0", 1): [74, 74, 74],
+    ("beta=1.0", 2): [82, 86, 80],
+    ("beta=1.0", 4): [96, 96, 100],
+    ("beta=0.01", 1): [155, 154, 155],
+    ("beta=0.01", 2): [162, 160, 162],
+    ("beta=0.01", 4): [176, 168, 172],
+}
+
+
+def test_cli_table1_small_counts_pinned(tmp_path):
+    config_path = tmp_path / "cfg.txt"
+    config_path.write_text("n = 400\nb_list = 1, 2, 4\nbeta_list = 1.0, 0.01\n")
+    code = main(["table1", "--config", str(config_path), "--seed", "8064113", "--trials", "3",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    counts = {}
+    for line in (tmp_path / "table1_trials.csv").read_text().splitlines()[1:]:
+        cell, b, _, matvecs = line.split(",")
+        counts.setdefault((cell, int(b)), []).append(int(matvecs))
+    assert counts == TABLE1_SMALL_COUNTS
+
+
 def test_cli_config_file_keys_beat_command_defaults(tmp_path):
     # trials = 5 equals the class default; the file must still win over bound-verify's 20
     config_path = tmp_path / "cfg.txt"

@@ -352,6 +352,29 @@ def test_sentinel_negative_pivots_count_eigenvalues_below_shift(b, k, seed, shif
         assert sentinel.negatives[0] == np.count_nonzero(eig < shift)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    b=st.integers(1, 4),
+    k=st.integers(1, 6),
+    extra=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_krylov_spaces_nest_bitwise(b, k, extra, seed):
+    # the k-step process is the leading part of the (k + extra)-step one, bit
+    # for bit, whatever the capacity of the buffer it is built in
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(64)
+    omega = rng.standard_normal((64, b))
+    dim = b * k
+    v = krylov_basis(diag_operator(values), omega, k)
+    assert np.array_equal(v, krylov_basis(diag_operator(values), omega, k + extra)[:, :dim])
+    short = block_lanczos(diag_operator(values), omega, k)
+    full = block_lanczos(diag_operator(values), omega, k + extra)
+    assert np.array_equal(short.V, full.V[:, :dim])
+    # the leading dim x dim block of T holds exactly the first k alpha and beta blocks
+    assert np.array_equal(short.T, full.T[:dim, :dim])
+
+
 def test_shift_scale_invariance_of_span():
     values = np.linspace(-2.0, 2.0, 30)
     omega = gaussian_matrix(30, 2, RngStream(13))
