@@ -142,6 +142,20 @@ def spectral_norm(m):
     return float(top) if m.ndim == 2 else top
 
 
+def max_spectral_norm(m) -> float:
+    """Largest spectral norm over a ``(..., r, c)`` stack, bit for bit ``spectral_norm(m).max()``.
+
+    ``||M||_2 <= ||M||_F``: only matrices whose Frobenius norm reaches ``lead``, the top
+    singular value of the Frobenius argmax, get an SVD (slack: 1e-12 for rounding, 1e-150
+    for squares that underflow). numpy takes each SVD of a stack alone, so the bits match.
+    """
+    m = as_stack(m).reshape(-1, *np.shape(m)[-2:])
+    fro = np.sqrt(np.einsum("kij,kij->k", m, m))
+    lead = np.linalg.svd(m[np.argmax(fro)], compute_uv=False)[0]
+    keep = fro * (1.0 + 1e-12) + 1e-150 >= lead * (1.0 - 1e-12)
+    return float(np.linalg.svd(m[keep], compute_uv=False)[:, 0].max())
+
+
 def smallest_singular(m):
     """Smallest singular value of m (over min(rows, cols)), or an array of them for a stack."""
     m = as_stack(m)

@@ -287,21 +287,13 @@ def fundamental_via_chain(chain: SolventChain, lam) -> np.ndarray:
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim > 1:
         raise ValueError(f"lam must be a scalar or a 1-D array, got shape {lam.shape}")
-    eye = np.eye(chain.b)
-    shifts = lam[..., None, None] * eye
-    acc = np.broadcast_to(eye, shifts.shape)
-    for i in range(chain.d - 1, 0, -1):
+    shifts = lam[..., None, None] * np.eye(chain.b)
+    if chain.d == 1:
+        return np.broadcast_to(chain.s_head_inv, shifts.shape)
+    acc = shifts - chain.b_hats[chain.d - 1]
+    for i in range(chain.d - 2, 0, -1):
         acc = acc @ (shifts - chain.b_hats[i])
     return acc @ chain.s_head_inv
-
-
-def fundamental_norms(chains, lams) -> np.ndarray:
-    """Spectral norms ``||F_k(lam)||`` as a (chains, points) array.
-
-    Each chain is evaluated on the whole 1-D grid as one stack, and one
-    stacked spectral norm gives all norms. Non-finite values raise ValueError.
-    """
-    return spectral_norm(np.stack([fundamental_via_chain(chain, lams) for chain in chains]))
 
 
 def solvent_residual(p: MatrixPolynomial, b_mat) -> float:
@@ -402,7 +394,7 @@ def growth_bound_check(chains, interval, lam_samples, rel_tol: float = 1e-10):
     inside = (lo <= lams) & (lams <= hi)
     if inside.any():
         raise ValueError(f"sample {float(lams[inside][0])} lies inside the interval")
-    norms = fundamental_norms(chains, lams).max(axis=0)
+    norms = spectral_norm(np.stack([fundamental_via_chain(c, lams) for c in chains])).max(axis=0)
     out = []
     for lam, norm in zip(lams.tolist(), norms.tolist()):
         lhs = norm ** (1.0 / (d - 1))

@@ -23,6 +23,7 @@ from .linalg import (
     as_matrix,
     gated_svals,
     gaussian_matrix,
+    max_spectral_norm,
     smallest_singular,
     spectral_norm,
 )
@@ -32,7 +33,7 @@ from .matpoly import (
     block_vandermonde,
     chi_quantities,
     conjugate,
-    fundamental_norms,
+    fundamental_via_chain,
     min_separation,
     solvent_chain,
 )
@@ -243,11 +244,14 @@ def outside_grid(spec: ClusterSpec, grid_size: int = 1000) -> np.ndarray:
 
 
 def growth_Gd(spec: ClusterSpec, chains, grid_size: int = 1000) -> float:
-    """Largest fundamental-polynomial norm over the out-of-cluster sample set."""
+    """Largest fundamental-polynomial norm over the out-of-cluster sample set.
+
+    One ``(d, G, b, b)`` stack; only points whose Frobenius norm can reach it get an SVD.
+    """
     samples = outside_grid(spec, grid_size)
     if samples.size == 0:
         raise ValueError("no sample points outside the cluster interval")
-    return float(fundamental_norms(chains, samples).max())
+    return max_spectral_norm(np.stack([fundamental_via_chain(chain, samples) for chain in chains]))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import NotSymmetricError, sym_eig
 from rsbl import linalg
@@ -9,6 +11,7 @@ from rsbl.linalg import (
     SingularMatrixError,
     gated_svals,
     gaussian_matrix,
+    max_spectral_norm,
     qr_factor,
     smallest_singular,
     solve_linear,
@@ -250,6 +253,47 @@ def test_norms_of_a_stack_match_the_loop():
     m[1, 0, 0] = np.inf
     with pytest.raises(ValueError, match="NaN or Inf"):
         spectral_norm(m)
+
+
+@st.composite
+def _scaled_stack(draw):
+    """(G, r, c) stack, r and c in 1..4, with per-matrix scales in [1e-8, 1e8] and repeats."""
+    g = draw(st.integers(1, 300))
+    r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    distinct = draw(st.integers(1, g))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = rng.standard_normal((distinct, r, c)) * 10.0 ** rng.uniform(-8.0, 8.0, (distinct, 1, 1))
+    return base[rng.integers(0, distinct, g)]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(m=_scaled_stack())
+def test_max_spectral_norm_matches_full_stack_bitwise(m):
+    assert max_spectral_norm(m) == spectral_norm(m).max()
+
+
+def test_max_spectral_norm_keeps_spectral_argmax_below_frobenius_argmax():
+    # eye(3): Frobenius 1.73, spectral 1; the rank-one matrix: both 1.5
+    rank_one = 1.5 * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    m = np.stack([np.eye(3), rank_one, 0.5 * np.eye(3)])
+    assert max_spectral_norm(m) == 1.5
+    assert max_spectral_norm(m.reshape(3, 1, 3, 3)) == 1.5
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+def test_max_spectral_norm_survives_frobenius_overflow_and_underflow(scale):
+    # at 1e200 the squares overflow the Frobenius sum; at 1e-170 they underflow to zero
+    rng = np.random.default_rng(11)
+    m = rng.standard_normal((40, 3, 3)) * scale
+    assert max_spectral_norm(m) == spectral_norm(m).max()
+
+
+def test_max_spectral_norm_of_one_matrix_and_non_finite_input():
+    m = np.random.default_rng(12).standard_normal((4, 3))
+    assert max_spectral_norm(m) == spectral_norm(m)
+    m[1, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        max_spectral_norm(m[None])
 
 
 def test_rejects_nonfinite():
