@@ -139,11 +139,12 @@ def tan_angle_krylov(spec: ClusterSpec, omega, steps: int) -> float:
     """Tangent of the largest principal angle via a block Lanczos basis.
 
     The orthonormal Krylov basis is split into its leading ``b*d`` rows V
-    and the remainder; the tangent is the spectral norm of the remainder
-    times the (pseudo-)inverse of V, read off the CS decomposition of the
-    basis. Returns ``inf`` when V is singular at the 1e-14 gate, which is
-    the correct tangent whenever an in-cluster eigenvalue has multiplicity
-    above b.
+    and the remainder. With ``c`` the smallest singular value of V, the
+    cosine of the largest angle, the tangent is ``sqrt(1 - c^2) / c`` for
+    large angles and the remainder's norm along c's right singular vector,
+    over ``c``, for small ones (``_tangent_from_basis``). Returns ``inf``
+    when ``c < 1e-14``, the correct tangent whenever an in-cluster
+    eigenvalue has multiplicity above b.
     """
     bd = spec.b * spec.d
     if spec.b * steps < bd:
@@ -157,13 +158,24 @@ def _tangent_from_basis(v: np.ndarray, bd: int) -> float:
     CS form (Bjorck & Golub, Math. Comp. 1973): with ``top = U S W^T`` the
     columns of ``bottom @ W`` are orthogonal with norms equal to the sines,
     so the tangents are those norms over S. The largest angle pairs with the
-    smallest singular value, so only the last column of ``W`` is applied.
-    The cosine ``S[-1]`` counts whenever it clears the ``1e-14`` gate; it is
-    not truncated as a least-squares solve would.
+    smallest singular value ``c = S[-1]``. The columns of v are orthonormal,
+    so that sine is ``sqrt(1 - c^2)``, and where the angle is large the
+    cosine alone gives the tangent from a values-only SVD. Near ``c = 1``
+    the sine taken from the cosine loses its relative accuracy, so for
+    small angles the last column of ``W`` is applied to the bottom rows
+    instead (Knyazev & Argentati, SISC 2002: an angle from its cosine when
+    it is large, from its sine when it is small). The cosine counts
+    whenever it clears the ``1e-14`` gate; it is not truncated as a
+    least-squares solve would.
     """
-    _, svals, wt = np.linalg.svd(v[:bd, :], full_matrices=False)
-    if svals[-1] < 1e-14:
+    c = np.linalg.svd(v[:bd, :], compute_uv=False)[-1]
+    if c < 1e-14:
         return math.inf
+    # 45 degrees: up to here sin >= c, so a sine taken from c keeps c's
+    # relative accuracy; past it the error grows as (c / sin)^2
+    if c <= 1.0 / math.sqrt(2.0):
+        return float(math.sqrt((1.0 - c) * (1.0 + c)) / c)
+    _, svals, wt = np.linalg.svd(v[:bd, :], full_matrices=False)
     return float(np.linalg.norm(v[bd:, :] @ wt[-1]) / svals[-1])
 
 

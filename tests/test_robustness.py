@@ -114,13 +114,23 @@ def _basis_with_cosines(draw):
     nudges = draw(st.lists(st.sampled_from([0.0, 1.0, -1.0]), min_size=bd, max_size=bd))
     cos = np.array([10.0 ** centers[i] * (1.0 + 1e-15 * e) for i, e in zip(picks, nudges)])
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _rotated_basis(rng, cos, k, n), bd
+
+
+def _rotated_basis(rng, cos, k: int, n: int) -> np.ndarray:
+    """Orthonormal n x k basis whose leading len(cos) rows have singular values cos.
+
+    The top rows are a random rotation of ``diag(cos)`` padded by zero
+    columns; the whole basis is then turned by a random k x k rotation.
+    """
+    bd = cos.size
     top = np.zeros((bd, k))
     top[:, :bd] = np.linalg.qr(rng.standard_normal((bd, bd)))[0] * cos
     sines = np.ones(k)
     sines[:bd] = np.sqrt(1.0 - cos**2)
     bottom = np.linalg.qr(rng.standard_normal((n - bd, k)))[0] * sines
     w = np.linalg.qr(rng.standard_normal((k, k)))[0]
-    return np.vstack([top, bottom]) @ w.T, bd
+    return np.vstack([top, bottom]) @ w.T
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -130,6 +140,54 @@ def test_tangent_from_basis_matches_all_columns_oracle(case):
     got, expected = _tangent_from_basis(v, bd), tangent_all_columns(v, bd)
     if math.isfinite(got) or math.isfinite(expected):
         assert got == pytest.approx(expected, rel=1e-12)
+
+
+_SWITCH = 1.0 / math.sqrt(2.0)
+
+
+def _ulps_from(x: float, steps: int) -> float:
+    for _ in range(abs(steps)):
+        x = float(np.nextafter(x, math.copysign(math.inf, steps)))
+    return x
+
+
+@st.composite
+def _basis_near_branch_switch(draw):
+    """Orthonormal basis whose smallest cosine sits at the 1/sqrt(2) switch.
+
+    The smallest cosine is exactly 1/sqrt(2), a few ulps either side of it,
+    uniform below it, or above it with ``1 - c`` down to 1e-7, where a sine
+    taken from the cosine would have lost six digits.
+    """
+    c_min = draw(st.one_of(
+        st.integers(-4, 4).map(lambda steps: _ulps_from(_SWITCH, steps)),
+        st.floats(0.05, _SWITCH),
+        st.floats(-7.0, math.log10(1.0 - _SWITCH)).map(lambda e: 1.0 - 10.0**e),
+    ))
+    bd = draw(st.integers(1, 8))
+    k = bd + draw(st.integers(0, 6))
+    n = bd + k + draw(st.integers(0, 10))
+    rest = draw(st.lists(st.floats(0.0, 0.9), min_size=bd - 1, max_size=bd - 1))
+    cos = np.array([c_min] + [c_min + (1.0 - c_min) * t for t in rest])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _rotated_basis(rng, cos, k, n), bd
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=_basis_near_branch_switch())
+def test_tangent_branches_agree_with_oracle_across_switch(case):
+    v, bd = case
+    assert _tangent_from_basis(v, bd) == pytest.approx(tangent_all_columns(v, bd), rel=1e-12)
+
+
+def test_tangent_cosine_branch_inf_gate():
+    # diag(cos) as the top rows, so the SVD returns the cosines themselves
+    rng = np.random.default_rng(30)
+    for c, expected in ((5e-15, math.inf), (2e-14, math.sqrt(1.0 - 2e-14**2) / 2e-14)):
+        cos = np.array([0.5, c, 0.3])
+        bottom = np.linalg.qr(rng.standard_normal((9, 3)))[0] * np.sqrt(1.0 - cos**2)
+        v = np.vstack([np.diag(cos), bottom])
+        assert _tangent_from_basis(v, 3) == pytest.approx(expected, rel=1e-6)
 
 
 def test_route_equivalence():
@@ -153,20 +211,39 @@ def test_vandermonde_route_d1_reduction():
     assert tan_angle_vandermonde(spec, omega) == pytest.approx(expected, rel=1e-10)
 
 
-def test_affine_invariance_of_angle():
-    rng = np.random.default_rng(4)
-    spec = make_spec(rng, 2, 3, m=12)
-    omega = gaussian_matrix(spec.n, 2, RngStream(5))
-    scale, shift = 2.5, -0.4
-    scaled = ClusterSpec(
+def _affine_image(spec: ClusterSpec, scale: float, shift: float) -> ClusterSpec:
+    return ClusterSpec(
         n=spec.n, b=spec.b, d=spec.d,
         lambda_blocks=tuple(scale * blk + shift for blk in spec.lambda_blocks),
         lambda_perp=scale * spec.lambda_perp + shift,
         cluster_min=scale * spec.cluster_min + shift,
         cluster_max=scale * spec.cluster_max + shift,
     )
+
+
+def test_affine_invariance_of_angle():
+    rng = np.random.default_rng(4)
+    spec = make_spec(rng, 2, 3, m=12)
+    omega = gaussian_matrix(spec.n, 2, RngStream(5))
     t1 = tan_angle_krylov(spec, omega, 3)
-    t2 = tan_angle_krylov(scaled, omega, 3)
+    t2 = tan_angle_krylov(_affine_image(spec, 2.5, -0.4), omega, 3)
+    assert t1 == pytest.approx(t2, rel=1e-8)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    b=st.integers(1, 3),
+    d=st.integers(2, 3),
+    scale=st.floats(0.1, 10.0),
+    shift=st.floats(-5.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_affine_invariance_of_angle_property(b, d, scale, shift, seed):
+    # span{A^j Omega} = span{(aA + sI)^j Omega} for a != 0
+    spec = make_spec(np.random.default_rng(seed), b, d)
+    omega = gaussian_matrix(spec.n, b, RngStream(seed))
+    t1 = tan_angle_krylov(spec, omega, d)
+    t2 = tan_angle_krylov(_affine_image(spec, scale, shift), omega, d)
     assert t1 == pytest.approx(t2, rel=1e-8)
 
 
