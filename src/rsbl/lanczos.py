@@ -3,12 +3,12 @@
 The process builds an orthonormal basis of the block Krylov subspace
 ``range[Omega, A Omega, ..., A^(l-1) Omega]`` one block per step. A step
 extends the basis by the QR of the previous step's remainder, then applies
-the operator once to the new block and re-projects the result against the
-whole basis twice; the initial block costs no matvec. Cost per entry point
-for ``l`` steps of width ``b``: :func:`block_lanczos` ``b * l`` matvecs
-(it also needs the last block's image, for ``T`` and the remainder);
-:func:`krylov_basis` ``b * (l - 1)`` (the last block is never applied);
-:func:`run_until_converged` ``b`` per step it runs.
+the operator once to the new block and projects the result out of the
+basis by classical Gram-Schmidt; the initial block costs no matvec. Cost
+per entry point for ``l`` steps of width ``b``: :func:`block_lanczos`
+``b * l`` matvecs (it also needs the last block's image, for ``T`` and the
+remainder); :func:`krylov_basis` ``b * (l - 1)`` (the last block is never
+applied); :func:`run_until_converged` ``b`` per step it runs.
 
 The basis is stored as rows, one basis vector per row of a
 ``(b * capacity, n)`` buffer, so the blocks built so far are one contiguous
@@ -16,6 +16,19 @@ slab: each reorthogonalization pass streams exactly those rows, and the
 rows of blocks not yet built are never touched, so the pages of a large
 buffer beyond them are never faulted in. The ``n x (b * steps)`` basis the
 entry points return is the transposed view of that buffer.
+
+A step's projection reads the whole basis once, and a second time only
+when it must. A first pass against the last two blocks removes the
+three-term recurrence, where nearly all of the cancellation happens, and
+gives the diagonal block of ``T``. One pass against the whole basis
+follows. A second whole-basis pass runs only when the first one cancelled
+most of some column, by the test of Daniel, Gragg, Kaufman & Stewart
+(Math. Comp. 30, 1976) with ``DGKS_ETA = 1/sqrt(2)``, as in ARPACK; when
+little cancels, one pass leaves the column orthogonal to working precision
+(Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005). While the
+basis has at most two blocks the first pass already covers all of it, so
+those steps build the basis and remainder of two whole-basis passes, bit
+for bit.
 """
 from __future__ import annotations
 
@@ -24,6 +37,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import RankDeficientError, as_matrix, qr_factor
+
+# DGKS re-orthogonalization threshold: a column that the whole-basis pass
+# shrinks below ``DGKS_ETA`` of its norm has lost more than half its squared
+# norm to cancellation, so its remainder may carry rounding errors of the
+# size of what was cancelled and is projected again. 1/sqrt(2) is ARPACK's
+# choice; by Pythagoras the test reads ``||h||^2 > DGKS_ETA^2 ||w||^2``,
+# per column, on the pass's coefficients ``h = V^T w``.
+DGKS_ETA = 1.0 / np.sqrt(2.0)
 
 
 class BreakdownError(Exception):
@@ -163,17 +184,31 @@ class _Process:
         self.beta[self.steps] = r
 
     def project(self):
-        """Apply the operator to block ``steps``; form ``alpha`` and the new remainder."""
+        """Apply the operator to block ``steps``; form ``alpha`` and the new remainder.
+
+        One pass against the last two blocks (its last ``b`` coefficient rows
+        are ``alpha``), one against the whole basis, and a second whole-basis
+        pass only when the DGKS test fires; the test runs only once the local
+        pass leaves older blocks out.
+        """
         hi = (self.steps + 1) * self.b
-        cur = self.Vt[hi - self.b:hi]
-        w = self.op.apply(cur.T)
-        alpha = cur @ w
-        self.alpha[self.steps] = 0.5 * (alpha + alpha.T)
+        lo = max(0, hi - 2 * self.b)
+        w = self.op.apply(self.Vt[hi - self.b:hi].T)
         self._remainder_scale = float(np.linalg.norm(w))
+        local = self.Vt[lo:hi]
+        h = local @ w
+        alpha = h[-self.b:]
+        self.alpha[self.steps] = 0.5 * (alpha + alpha.T)
+        w = w - local.T @ h
         basis = self.Vt[:hi]
-        for _ in range(2):
-            w = w - basis.T @ (basis @ w)
-        self.remainder = w
+        h = basis @ w
+        remainder = w - basis.T @ h
+        # einsum: np.linalg.norm(axis=0) costs up to 3x more on an n x b block
+        if lo > 0 and np.any(
+            np.einsum("ij,ij->j", h, h) > DGKS_ETA**2 * np.einsum("ij,ij->j", w, w)
+        ):
+            remainder = remainder - basis.T @ (basis @ remainder)
+        self.remainder = remainder
         self.steps += 1
 
     def tridiagonal(self) -> np.ndarray:

@@ -4,6 +4,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import run_until_converged_reference, symmetry_defect
+from rsbl.experiments import _table1_targets
 from rsbl.lanczos import (
     SENTINEL_MARGIN,
     BreakdownError,
@@ -61,6 +62,48 @@ def test_basis_invariants():
     span = np.hstack([omega, a @ omega])
     resid = span - v @ (v.T @ span)
     assert np.linalg.norm(resid, 2) <= 1e-9 * np.linalg.norm(span, 2)
+
+
+def _orthogonality_defects(basis):
+    v, r = basis.V, basis.remainder
+    gram = np.linalg.norm(v.T @ v - np.eye(v.shape[1]), 2)
+    return gram, np.linalg.norm(v.T @ r, 2) / np.linalg.norm(r, 2)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.001])
+@pytest.mark.parametrize("b", [1, 2, 32])
+def test_orthogonality_at_table1_depth(beta, b):
+    # Table 1 scale: nearly every step projects against the last two blocks and
+    # then once against the whole basis, and the basis must stay orthonormal
+    n = 2000
+    _, diag = _table1_targets(beta, n)
+    steps = -(-400 // b)
+    omega = gaussian_matrix(n, b, RngStream(30, b))
+    basis = block_lanczos(diag_operator(diag), omega, steps)
+    gram, remainder = _orthogonality_defects(basis)
+    assert basis.V.shape[1] >= 400
+    assert gram <= 1e-13
+    assert remainder <= 1e-13
+
+
+@pytest.mark.parametrize("b", [1, 2, 3])
+def test_dgks_pass_restores_orthogonality(b):
+    # a linear but deliberately non-symmetric operator: every image carries a
+    # 1e8 component along u, which spans part of block 0. The local pass never
+    # sees block 0, so the whole-basis pass cancels almost all of each column
+    # and only the DGKS pass brings the remainder back to orthogonality
+    n = 200
+    rng = np.random.default_rng(31)
+    diag = np.linspace(-1.0, 1.0, n)[:, None]
+    u = rng.standard_normal((n, 1))
+    u /= np.linalg.norm(u)
+    g = rng.standard_normal((n, 1))
+    op = LinearOperator(n, lambda block: diag * block + 1e8 * u @ (g.T @ block))
+    omega = rng.standard_normal((n, b))
+    omega[:, :1] = u
+    gram, remainder = _orthogonality_defects(block_lanczos(op, omega, 6))
+    assert gram <= 1e-13
+    assert remainder <= 1e-13
 
 
 def test_projected_matrix_is_block_tridiagonal():
