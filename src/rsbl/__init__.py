@@ -6,13 +6,11 @@ from .matpoly import (
     ChainBreakdownError,
     DegenerateEndpointError,
     DimensionMismatchError,
-    SingularVandermondeError,
 )
 from .robustness import (
     SingularBlockError,
     SingularDifferenceError,
     SingularKError,
-    ZeroGapError,
 )
 
 __version__ = "0.1.0"

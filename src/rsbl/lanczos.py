@@ -91,13 +91,6 @@ class LinearOperator:
         return out
 
     @classmethod
-    def from_dense(cls, a) -> "LinearOperator":
-        a = as_matrix(a, "A")
-        if a.shape[0] != a.shape[1]:
-            raise ValueError("dense operator must be square")
-        return cls(a.shape[0], lambda block: a @ block)
-
-    @classmethod
     def from_diagonal(cls, diag) -> "LinearOperator":
         d = np.asarray(diag, dtype=np.float64).reshape(-1)
         if not np.isfinite(d).all():
@@ -124,11 +117,10 @@ class BlockKrylovBasis:
 
 @dataclass
 class RitzSet:
-    """Selected Ritz approximations: ascending values, lifted vectors, residual estimates."""
+    """The largest Ritz approximations: ascending values and lifted vectors."""
 
     values: np.ndarray
     vectors: np.ndarray
-    residual_norms: np.ndarray
 
 
 class _Process:
@@ -334,18 +326,14 @@ def krylov_basis(op: LinearOperator, omega, steps: int) -> np.ndarray:
     return proc.Vt.T
 
 
-def rayleigh_ritz(basis: BlockKrylovBasis, how_many: int, which: str = "largest") -> RitzSet:
-    """Extract Ritz pairs from the projected matrix and lift them through the basis."""
+def rayleigh_ritz(basis: BlockKrylovBasis, how_many: int) -> RitzSet:
+    """Extract the ``how_many`` largest Ritz pairs and lift them through the basis."""
     dim = basis.b * basis.steps
     if not 1 <= how_many <= dim:
         raise ValueError(f"how_many must be in [1, {dim}]")
-    if which not in ("largest", "smallest"):
-        raise ValueError("which must be 'largest' or 'smallest'")
     values, vectors = np.linalg.eigh(basis.T)
-    idx = np.arange(dim - how_many, dim) if which == "largest" else np.arange(how_many)
-    sel = vectors[:, idx]
-    residuals = np.linalg.norm(basis.remainder @ sel[-basis.b:, :], axis=0)
-    return RitzSet(values=values[idx], vectors=basis.V @ sel, residual_norms=residuals)
+    idx = np.arange(dim - how_many, dim)
+    return RitzSet(values=values[idx], vectors=basis.V @ vectors[:, idx])
 
 
 def match_targets(values, targets, tol: float):

@@ -1,13 +1,13 @@
-"""Matrix polynomials, block Vandermonde interpolation, and solvent chains.
+"""Block Vandermonde interpolation nodes and solvent chains.
 
 A matrix polynomial here is ``Phi(X) = C_0 + X C_1 + ... + X^d C_d`` with
 b-by-b coefficient blocks sitting to the *right* of the variable. The
 fundamental polynomials ``F_k`` are the block analogue of Lagrange basis
-polynomials: degree d-1 with ``F_k(B_j) = delta_kj * I``. They can be
-computed two ways, by solving against the block Vandermonde matrix
-(:func:`fundamental_via_solve`, the brute-force route) or through the
-recursive chain-of-solvents factorization (:func:`solvent_chain` +
-:func:`fundamental_via_chain`); the two routes cross-check each other.
+polynomials: degree d-1 with ``F_k(B_j) = delta_kj * I``. The package
+computes them one way, through the recursive chain-of-solvents
+factorization (:func:`solvent_chain` + :func:`fundamental_via_chain`) that
+the structural bound rests on. The test suite checks that route against an
+independent one, a brute-force solve against the block Vandermonde matrix.
 """
 from __future__ import annotations
 
@@ -21,17 +21,12 @@ from .linalg import (
     as_matrix,
     as_stack,
     gated_svals,
-    solve_linear,
     spectral_norm,
 )
 
 
 class DimensionMismatchError(Exception):
-    """Operand dimensions are incompatible with the polynomial's block size."""
-
-
-class SingularVandermondeError(Exception):
-    """The block Vandermonde matrix is singular at the gate."""
+    """Operand dimensions are incompatible with the block size."""
 
 
 class ChainBreakdownError(Exception):
@@ -44,51 +39,6 @@ class ChainBreakdownError(Exception):
 
 class DegenerateEndpointError(Exception):
     """An interval endpoint coincides with a full node spectrum."""
-
-
-@dataclass(frozen=True)
-class MatrixPolynomial:
-    """Degree-d polynomial ``X -> sum_i X^i C_i`` with square coefficient blocks."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        if not self.coeffs:
-            raise ValueError("a matrix polynomial needs at least one coefficient")
-        mats = tuple(as_matrix(c, "coefficient") for c in self.coeffs)
-        b = mats[0].shape[0]
-        for c in mats:
-            if c.shape != (b, b):
-                raise DimensionMismatchError("coefficient blocks must share one square size")
-        object.__setattr__(self, "coeffs", mats)
-
-    @property
-    def block_size(self) -> int:
-        return self.coeffs[0].shape[0]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-
-def eval_matrix(p: MatrixPolynomial, x) -> np.ndarray:
-    """Evaluate ``sum_i X^i C_i`` by right-coefficient Horner recursion."""
-    x = as_matrix(x, "X")
-    b = p.block_size
-    if x.shape != (b, b):
-        raise DimensionMismatchError(f"X must be {b}x{b}, got {x.shape}")
-    acc = p.coeffs[-1]
-    for c in p.coeffs[-2::-1]:
-        acc = c + x @ acc
-    return acc
-
-
-def eval_lambda(p: MatrixPolynomial, lam: float) -> np.ndarray:
-    """Evaluate the lambda-matrix ``p(lam * I)``."""
-    acc = p.coeffs[-1]
-    for c in p.coeffs[-2::-1]:
-        acc = c + lam * acc
-    return acc
 
 
 def conjugate(omega, lam, rtol: float = 1e-14) -> np.ndarray:
@@ -155,9 +105,6 @@ class NodeSet:
     def d(self) -> int:
         return len(self.lambdas)
 
-    def spectrum_bounds(self) -> tuple[float, float]:
-        allv = np.concatenate(self.lambdas)
-        return float(allv.min()), float(allv.max())
 
 
 def block_vandermonde(nodes, d: int | None = None) -> np.ndarray:
@@ -179,25 +126,6 @@ def block_vandermonde(nodes, d: int | None = None) -> np.ndarray:
     return np.concatenate(powers, axis=2).reshape(-1, b * d)
 
 
-def fundamental_via_solve(nodes: NodeSet, k: int) -> MatrixPolynomial:
-    """Fundamental polynomial for node ``k`` by a block Vandermonde solve.
-
-    This is the brute-force oracle for the chain construction: it solves
-    ``Van @ [C_0; ...; C_{d-1}] = e_k (x) I`` directly.
-    """
-    d, b = nodes.d, nodes.b
-    if not 0 <= k < d:
-        raise IndexError(f"node index {k} out of range for {d} nodes")
-    van = block_vandermonde(nodes)
-    rhs = np.zeros((b * d, b))
-    rhs[k * b:(k + 1) * b] = np.eye(b)
-    try:
-        coeffs = solve_linear(van, rhs)
-    except SingularMatrixError as exc:
-        raise SingularVandermondeError(str(exc)) from exc
-    return MatrixPolynomial(tuple(coeffs[j * b:(j + 1) * b] for j in range(d)))
-
-
 @dataclass(frozen=True)
 class SolventChain:
     """Recursive factorization data for the fundamental polynomial of one node.
@@ -212,8 +140,8 @@ class SolventChain:
     i.e. companions are absorbed from the tail of the chain first.
     (Absorbing in ascending order is *not* equivalent for b > 1 and breaks
     the interpolation property; the descending order is the one consistent
-    with peeling degree-one factors off the highest position first, and is
-    verified against :func:`fundamental_via_solve`.) The fully absorbed
+    with peeling degree-one factors off the highest position first, and the
+    test suite checks it against a block Vandermonde solve.) The fully absorbed
     product ``s_full[i]`` must be nonsingular; it conjugates the node into
     its companion ``b_hats[i] = conjugate(Omega_i @ s_full[i], lambdas[i])``.
     """
@@ -296,32 +224,6 @@ def fundamental_via_chain(chain: SolventChain, lam) -> np.ndarray:
     return acc @ chain.s_head_inv
 
 
-def solvent_residual(p: MatrixPolynomial, b_mat) -> float:
-    """Spectral norm of ``p`` evaluated at a candidate solvent."""
-    return spectral_norm(eval_matrix(p, b_mat))
-
-
-def bezout_quotient(p: MatrixPolynomial, b_mat) -> tuple[MatrixPolynomial, np.ndarray]:
-    """Divide off a degree-one factor: ``p(lam) = (lam I - B) q(lam) + R``.
-
-    The remainder equals ``eval_matrix(p, B)``, so it vanishes exactly when
-    B is a solvent of p.
-    """
-    b_mat = as_matrix(b_mat, "B")
-    b = p.block_size
-    if b_mat.shape != (b, b):
-        raise DimensionMismatchError(f"B must be {b}x{b}, got {b_mat.shape}")
-    d = p.degree
-    if d == 0:
-        return MatrixPolynomial((np.zeros((b, b)),)), p.coeffs[0].copy()
-    quot: list = [None] * d
-    quot[d - 1] = p.coeffs[d]
-    for i in range(d - 1, 0, -1):
-        quot[i - 1] = p.coeffs[i] + b_mat @ quot[i]
-    remainder = p.coeffs[0] + b_mat @ quot[0]
-    return MatrixPolynomial(tuple(quot)), remainder
-
-
 def chi_quantities(nodes: NodeSet, chains, interval) -> tuple[float, float]:
     """Scaling-invariant growth factors of the chain factorizations.
 
@@ -363,41 +265,3 @@ def chi_quantities(nodes: NodeSet, chains, interval) -> tuple[float, float]:
         head ** (1.0 / (d - 1)) * gap for head, gap in zip(norms[len(dens):], gaps)
     )
     return chi_mono, chi_coef
-
-
-@dataclass(frozen=True)
-class GrowthSample:
-    """One evaluation point of the growth inequality."""
-
-    lam: float
-    lhs: float
-    rhs: float
-    holds: bool
-
-
-def growth_bound_check(chains, interval, lam_samples, rel_tol: float = 1e-10):
-    """Check the fundamental-polynomial growth inequality outside the interval.
-
-    For each sample point the left side is ``max_k ||F_k(lam)||^(1/(d-1))``
-    and the right side is the distance-to-interval factor over the minimal
-    node gap, times ``chi_mono * chi_coef``. Returns the per-sample records;
-    any violation is flagged on the record.
-    """
-    if not chains:
-        raise ValueError("need at least one chain")
-    nodes = chains[0].nodes
-    d = nodes.d
-    lo, hi = float(interval[0]), float(interval[1])
-    chi_mono, chi_coef = chi_quantities(nodes, chains, interval)
-    gap = min_separation(nodes.lambdas)
-    lams = np.asarray(lam_samples, dtype=np.float64).reshape(-1)
-    inside = (lo <= lams) & (lams <= hi)
-    if inside.any():
-        raise ValueError(f"sample {float(lams[inside][0])} lies inside the interval")
-    norms = spectral_norm(np.stack([fundamental_via_chain(c, lams) for c in chains])).max(axis=0)
-    out = []
-    for lam, norm in zip(lams.tolist(), norms.tolist()):
-        lhs = norm ** (1.0 / (d - 1))
-        rhs = max(hi - lam, lam - lo) / gap * chi_mono * chi_coef
-        out.append(GrowthSample(lam, lhs, rhs, lhs <= rhs * (1.0 + rel_tol)))
-    return out

@@ -47,10 +47,6 @@ class SingularBlockError(Exception):
     """A partition block of the initial matrix is singular."""
 
 
-class ZeroGapError(Exception):
-    """The eigenvalue gap required by the Chebyshev bound vanishes."""
-
-
 class SingularDifferenceError(Exception):
     """The difference of the two solvents is singular."""
 
@@ -536,43 +532,6 @@ def probe_solvent_difference(
     return {float(q): float(np.quantile(samples, q)) for q in quantiles}
 
 
-def chebyshev_value(degree: int, x: float) -> float:
-    """Chebyshev polynomial of the first kind at ``x >= 1`` via the closed form."""
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    if x < 1.0:
-        raise ValueError("closed form requires x >= 1")
-    t = x + math.sqrt(x * x - 1.0)
-    return 0.5 * (t**degree + t**-degree)
-
-
-def chebyshev_accel_check(
-    spec: ClusterSpec, omega, steps: int
-) -> tuple[float, float, bool]:
-    """Compare the deep-subspace angle against the Chebyshev-accelerated reference.
-
-    The cluster must hold the largest ``b*d`` eigenvalues with a positive
-    gap to the rest; the reference divides the d-step angle by the
-    Chebyshev factor at ``1 + 2 * gap / spectral width``. Krylov spaces nest,
-    so the d-step angle comes from the leading ``b*d`` columns of the one basis.
-    """
-    if steps < spec.d:
-        raise ValueError("steps must be at least d")
-    lam_bd = min(float(blk.min()) for blk in spec.lambda_blocks)
-    lam_next = float(spec.lambda_perp.max()) if spec.lambda_perp.size else -math.inf
-    gap = lam_bd - lam_next
-    if not gap > 0.0:
-        raise ZeroGapError("cluster must hold the strictly largest eigenvalues")
-    gamma = gap / (spec.lambda_max - spec.lambda_min)
-    bd = spec.b * spec.d
-    v = krylov_basis(spec.operator(), omega, steps)
-    measured = _tangent_from_basis(v, bd)
-    base = _tangent_from_basis(v[:, :bd], bd)
-    reference = base / chebyshev_value(steps - spec.d, 1.0 + 2.0 * gamma)
-    holds = measured <= reference * (1.0 + 1e-6)
-    return measured, reference, holds
-
-
 @dataclass(frozen=True)
 class LowRankReport:
     """Observed low-rank approximation quality against the dense-SVD optimum."""
@@ -608,7 +567,7 @@ def lowrank_check(a_hat, b: int, d: int, steps: int, eps: float, rng: RngStream)
     op = LinearOperator(n_cols, lambda block: a_hat.T @ (a_hat @ block))
     omega = gaussian_matrix(n_cols, b, rng)
     basis = block_lanczos(op, omega, steps)
-    ritz = rayleigh_ritz(basis, rank, which="largest")
+    ritz = rayleigh_ritz(basis, rank)
     v = ritz.vectors
     resid = a_hat - (a_hat @ v) @ v.T
     spectral_error = spectral_norm(resid)

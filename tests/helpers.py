@@ -3,19 +3,33 @@
 Everything here is deliberately independent of the implementation paths it
 checks: naive power sums instead of Horner, classical Lagrange formulas
 instead of chain factorizations, dense decompositions instead of iterative
-ones. It also holds the test-only helpers the package itself never calls
-(the symmetric eigensolver and the operator symmetry spot-check).
+ones. The package computes the fundamental polynomials only through the
+chain of solvents; the brute-force block Vandermonde solve
+(:func:`fundamental_via_solve`, with the :class:`MatrixPolynomial` it
+returns), the growth-inequality check and the Chebyshev depth reference
+live here as the oracles that check it. So do the test-only helpers the
+package itself never calls (the symmetric eigensolver, the dense operator
+and the operator symmetry spot-check).
 """
 import importlib
 import math
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from rsbl.lanczos import NoConvergenceError, _Process, match_targets
-from rsbl.linalg import as_matrix, spectral_norm
-from rsbl.matpoly import MatrixPolynomial, NodeSet, fundamental_via_chain
+from rsbl.lanczos import LinearOperator, NoConvergenceError, _Process, krylov_basis, match_targets
+from rsbl.linalg import SingularMatrixError, as_matrix, solve_linear, spectral_norm
+from rsbl.matpoly import (
+    DimensionMismatchError,
+    NodeSet,
+    block_vandermonde,
+    chi_quantities,
+    fundamental_via_chain,
+    min_separation,
+)
+from rsbl.robustness import ClusterSpec, _tangent_from_basis
 
 
 class NotSymmetricError(Exception):
@@ -50,6 +64,14 @@ def symmetry_defect(op, rng, probes: int = 3) -> float:
         defect = abs((x.T @ ay).item() - (y.T @ ax).item())
         worst = max(worst, defect / (np.linalg.norm(x) * np.linalg.norm(y)))
     return worst
+
+
+def dense_operator(a) -> LinearOperator:
+    """Operator that applies a dense square matrix."""
+    a = as_matrix(a, "A")
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("dense operator must be square")
+    return LinearOperator(a.shape[0], lambda block: a @ block)
 
 
 def block_vandermonde_loop(mats, d: int) -> np.ndarray:
@@ -115,6 +137,119 @@ def tangent_all_columns(v, bd: int) -> float:
     return float(np.max(np.linalg.norm(v[bd:, :] @ wt.T, axis=0) / svals))
 
 
+class SingularVandermondeError(Exception):
+    """The block Vandermonde matrix is singular at the gate."""
+
+
+@dataclass(frozen=True)
+class MatrixPolynomial:
+    """Degree-d polynomial ``X -> sum_i X^i C_i`` with square coefficient blocks."""
+
+    coeffs: tuple
+
+    def __post_init__(self):
+        if not self.coeffs:
+            raise ValueError("a matrix polynomial needs at least one coefficient")
+        mats = tuple(as_matrix(c, "coefficient") for c in self.coeffs)
+        b = mats[0].shape[0]
+        for c in mats:
+            if c.shape != (b, b):
+                raise DimensionMismatchError("coefficient blocks must share one square size")
+        object.__setattr__(self, "coeffs", mats)
+
+    @property
+    def block_size(self) -> int:
+        return self.coeffs[0].shape[0]
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+
+def eval_matrix(p: MatrixPolynomial, x) -> np.ndarray:
+    """Evaluate ``sum_i X^i C_i`` by right-coefficient Horner recursion."""
+    x = as_matrix(x, "X")
+    b = p.block_size
+    if x.shape != (b, b):
+        raise DimensionMismatchError(f"X must be {b}x{b}, got {x.shape}")
+    acc = p.coeffs[-1]
+    for c in p.coeffs[-2::-1]:
+        acc = c + x @ acc
+    return acc
+
+
+def eval_lambda(p: MatrixPolynomial, lam) -> np.ndarray:
+    """Evaluate the lambda-matrix ``p(lam * I)``: b x b for a scalar, (G, b, b) for a 1-D grid."""
+    lam = np.asarray(lam, dtype=np.float64)
+    acc = np.broadcast_to(p.coeffs[-1], lam.shape + p.coeffs[-1].shape)
+    for c in p.coeffs[-2::-1]:
+        acc = c + lam[..., None, None] * acc
+    return acc
+
+
+def fundamental_via_solve(nodes: NodeSet, k: int) -> MatrixPolynomial:
+    """Fundamental polynomial for node ``k`` by a block Vandermonde solve.
+
+    This is the brute-force oracle for the chain construction: it solves
+    ``Van @ [C_0; ...; C_{d-1}] = e_k (x) I`` directly.
+    """
+    d, b = nodes.d, nodes.b
+    if not 0 <= k < d:
+        raise IndexError(f"node index {k} out of range for {d} nodes")
+    van = block_vandermonde(nodes)
+    rhs = np.zeros((b * d, b))
+    rhs[k * b:(k + 1) * b] = np.eye(b)
+    try:
+        coeffs = solve_linear(van, rhs)
+    except SingularMatrixError as exc:
+        raise SingularVandermondeError(str(exc)) from exc
+    return MatrixPolynomial(tuple(coeffs[j * b:(j + 1) * b] for j in range(d)))
+
+
+def spectrum_bounds(nodes: NodeSet) -> tuple[float, float]:
+    """Smallest and largest eigenvalue over all node spectra."""
+    allv = np.concatenate(nodes.lambdas)
+    return float(allv.min()), float(allv.max())
+
+
+@dataclass(frozen=True)
+class GrowthSample:
+    """One evaluation point of the growth inequality."""
+
+    lam: float
+    lhs: float
+    rhs: float
+    holds: bool
+
+
+def growth_bound_check(chains, interval, lam_samples, rel_tol: float = 1e-10):
+    """Check the fundamental-polynomial growth inequality outside the interval.
+
+    For each sample point the left side is ``max_k ||F_k(lam)||^(1/(d-1))``
+    and the right side is the distance-to-interval factor over the minimal
+    node gap, times ``chi_mono * chi_coef``. Returns the per-sample records;
+    any violation is flagged on the record.
+    """
+    if not chains:
+        raise ValueError("need at least one chain")
+    nodes = chains[0].nodes
+    d = nodes.d
+    lo, hi = float(interval[0]), float(interval[1])
+    chi_mono, chi_coef = chi_quantities(nodes, chains, interval)
+    gap = min_separation(nodes.lambdas)
+    lams = np.asarray(lam_samples, dtype=np.float64).reshape(-1)
+    inside = (lo <= lams) & (lams <= hi)
+    if inside.any():
+        raise ValueError(f"sample {float(lams[inside][0])} lies inside the interval")
+    norms = spectral_norm(np.stack([fundamental_via_chain(c, lams) for c in chains])).max(axis=0)
+    out = []
+    for lam, norm in zip(lams.tolist(), norms.tolist()):
+        lhs = norm ** (1.0 / (d - 1))
+        rhs = max(hi - lam, lam - lo) / gap * chi_mono * chi_coef
+        out.append(GrowthSample(lam, lhs, rhs, lhs <= rhs * (1.0 + rel_tol)))
+    return out
+
+
 def naive_eval(p: MatrixPolynomial, x: np.ndarray) -> np.ndarray:
     """Power-sum evaluation sum_i X^i C_i without Horner."""
     b = p.block_size
@@ -155,14 +290,6 @@ def random_polynomial(rng, b: int, degree: int) -> MatrixPolynomial:
     return MatrixPolynomial(tuple(rng.standard_normal((b, b)) for _ in range(degree + 1)))
 
 
-def eval_lambda_grid(p: MatrixPolynomial, lams: np.ndarray) -> np.ndarray:
-    """Stacked lambda-matrix values p(lam * I) for a whole grid at once."""
-    acc = np.broadcast_to(p.coeffs[-1], (lams.size, p.block_size, p.block_size)).copy()
-    for c in p.coeffs[-2::-1]:
-        acc = c[None, :, :] + lams[:, None, None] * acc
-    return acc
-
-
 def fundamental_norms_loop(chains, lams) -> np.ndarray:
     """Per-point reference for the batched norm grid, as a (chains, points) array.
 
@@ -175,8 +302,6 @@ def fundamental_norms_loop(chains, lams) -> np.ndarray:
 
 def random_cluster_spec(rng, b: int, d: int, m: int = 16):
     """Random diagonal-spectrum spec: separated cluster blocks over [-1, 0] noise."""
-    from rsbl.robustness import ClusterSpec
-
     n = m * b
     blocks = tuple(np.sort(rng.uniform(1.0 + 0.3 * k, 1.15 + 0.3 * k, b)) for k in range(d))
     perp = rng.uniform(-1.0, 0.0, n - b * d)
@@ -204,7 +329,48 @@ def eigenhull_bound_pair(p: MatrixPolynomial, omega0, lam0, grid_size: int = 100
     b0 = np.linalg.solve(omega0, lam0[:, None] * omega0)
     lhs = float(np.linalg.norm(naive_eval(p, b0), 2))
     grid = np.concatenate([np.linspace(lam0.min(), lam0.max(), grid_size), lam0])
-    norms = np.linalg.svd(eval_lambda_grid(p, grid), compute_uv=False)[:, 0]
+    norms = np.linalg.svd(eval_lambda(p, grid), compute_uv=False)[:, 0]
     sv = np.linalg.svd(omega0, compute_uv=False)
     rhs = float(np.sqrt(b) * (sv[0] / sv[-1]) * norms.max())
     return lhs, rhs
+
+
+class ZeroGapError(Exception):
+    """The eigenvalue gap required by the Chebyshev bound vanishes."""
+
+
+def chebyshev_value(degree: int, x: float) -> float:
+    """Chebyshev polynomial of the first kind at ``x >= 1`` via the closed form."""
+    if degree < 0:
+        raise ValueError("degree must be nonnegative")
+    if x < 1.0:
+        raise ValueError("closed form requires x >= 1")
+    t = x + math.sqrt(x * x - 1.0)
+    return 0.5 * (t**degree + t**-degree)
+
+
+def chebyshev_accel_check(
+    spec: ClusterSpec, omega, steps: int
+) -> tuple[float, float, bool]:
+    """Compare the deep-subspace angle against the Chebyshev-accelerated reference.
+
+    The cluster must hold the largest ``b*d`` eigenvalues with a positive
+    gap to the rest; the reference divides the d-step angle by the
+    Chebyshev factor at ``1 + 2 * gap / spectral width``. Krylov spaces nest,
+    so the d-step angle comes from the leading ``b*d`` columns of the one basis.
+    """
+    if steps < spec.d:
+        raise ValueError("steps must be at least d")
+    lam_bd = min(float(blk.min()) for blk in spec.lambda_blocks)
+    lam_next = float(spec.lambda_perp.max()) if spec.lambda_perp.size else -math.inf
+    gap = lam_bd - lam_next
+    if not gap > 0.0:
+        raise ZeroGapError("cluster must hold the strictly largest eigenvalues")
+    gamma = gap / (spec.lambda_max - spec.lambda_min)
+    bd = spec.b * spec.d
+    v = krylov_basis(spec.operator(), omega, steps)
+    measured = _tangent_from_basis(v, bd)
+    base = _tangent_from_basis(v[:, :bd], bd)
+    reference = base / chebyshev_value(steps - spec.d, 1.0 + 2.0 * gamma)
+    holds = measured <= reference * (1.0 + 1e-6)
+    return measured, reference, holds

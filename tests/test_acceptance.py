@@ -11,7 +11,11 @@ import numpy as np
 import pytest
 
 from helpers import (
+    chebyshev_accel_check,
     eigenhull_bound_pair,
+    eval_lambda,
+    eval_matrix,
+    fundamental_via_solve,
     lagrange_scalar,
     random_cluster_spec,
     random_nodeset,
@@ -24,16 +28,12 @@ from rsbl.matpoly import (
     NodeSet,
     block_vandermonde,
     chi_quantities,
-    eval_lambda,
-    eval_matrix,
     fundamental_via_chain,
-    fundamental_via_solve,
     solvent_chain,
 )
 from rsbl.robustness import (
     ClusterSpec,
     ExperimentFamily,
-    chebyshev_accel_check,
     conjecture_experiment,
     sandwich_d2,
     structural_bound_trial,

@@ -2,33 +2,32 @@ import numpy as np
 import pytest
 
 from helpers import (
+    MatrixPolynomial,
+    SingularVandermondeError,
     block_vandermonde_loop,
     eigenhull_bound_pair,
+    eval_lambda,
+    eval_matrix,
     fundamental_norms_loop,
+    fundamental_via_solve,
+    growth_bound_check,
     lagrange_scalar,
     naive_eval,
     random_nodeset,
     random_polynomial,
+    spectrum_bounds,
 )
 from rsbl.linalg import SingularMatrixError
 from rsbl.matpoly import (
     ChainBreakdownError,
     DegenerateEndpointError,
-    MatrixPolynomial,
     NodeSet,
-    SingularVandermondeError,
-    bezout_quotient,
     block_vandermonde,
     chi_quantities,
     conjugate,
-    eval_lambda,
-    eval_matrix,
     fundamental_via_chain,
-    fundamental_via_solve,
-    growth_bound_check,
     min_separation,
     solvent_chain,
-    solvent_residual,
 )
 
 
@@ -303,50 +302,6 @@ def test_interpolation_identity():
             assert np.linalg.norm(got - expect, 2) <= 1e-8 * cond * scale
 
 
-def test_solvent_residual():
-    rng = np.random.default_rng(10)
-    nodes = random_nodeset(rng, 2, 3)
-    cond = np.linalg.cond(block_vandermonde(nodes))
-    f = fundamental_via_solve(nodes, 1)
-    assert solvent_residual(f, nodes.bs[0]) <= 1e-8 * cond
-    assert solvent_residual(f, nodes.bs[2]) <= 1e-8 * cond
-    lam = 0.8
-    scalar = MatrixPolynomial((np.array([[-(lam**2)]]), np.zeros((1, 1)), np.eye(1)))
-    assert solvent_residual(scalar, np.array([[lam]])) <= 1e-14
-    p = random_polynomial(rng, 3, 3)
-    x = rng.standard_normal((3, 3))
-    assert solvent_residual(p, x) == pytest.approx(np.linalg.norm(naive_eval(p, x), 2), rel=1e-12)
-
-
-def test_bezout_constructed_factorization():
-    rng = np.random.default_rng(11)
-    b_mat = rng.standard_normal((2, 2))
-    p = MatrixPolynomial((np.zeros((2, 2)), -b_mat, np.eye(2)))
-    q, rem = bezout_quotient(p, b_mat)
-    assert np.allclose(q.coeffs[0], np.zeros((2, 2)))
-    assert np.allclose(q.coeffs[1], np.eye(2))
-    assert np.linalg.norm(rem, 2) <= 1e-14
-
-
-def test_bezout_constant():
-    c0 = np.array([[2.0, 0.0], [1.0, 1.0]])
-    q, rem = bezout_quotient(MatrixPolynomial((c0,)), np.eye(2))
-    assert np.allclose(q.coeffs[0], np.zeros((2, 2)))
-    assert np.array_equal(rem, c0)
-
-
-def test_bezout_pointwise_reconstruction():
-    rng = np.random.default_rng(12)
-    p = random_polynomial(rng, 3, 4)
-    b_mat = rng.standard_normal((3, 3))
-    q, rem = bezout_quotient(p, b_mat)
-    assert np.allclose(rem, eval_matrix(p, b_mat))
-    for lam in rng.uniform(-2.0, 2.0, 20):
-        lhs = eval_lambda(p, lam)
-        rhs = (lam * np.eye(3) - b_mat) @ eval_lambda(q, lam) + rem
-        assert np.linalg.norm(lhs - rhs, 2) <= 1e-10 * max(1.0, np.linalg.norm(lhs, 2))
-
-
 def test_chi_scalar_case():
     rng = np.random.default_rng(13)
     vals = [0.1, 0.5, 0.9]
@@ -372,7 +327,7 @@ def test_chi_d2_closed_form():
     rng = np.random.default_rng(14)
     nodes = random_nodeset(rng, 2, 2)
     chains = [solvent_chain(nodes, k) for k in range(2)]
-    lo, hi = nodes.spectrum_bounds()
+    lo, hi = spectrum_bounds(nodes)
     _, chi_coef = chi_quantities(nodes, chains, (lo, hi))
     expected = 0.0
     for k in range(2):
@@ -398,7 +353,7 @@ def test_growth_bound_check_holds():
         d = int(rng.integers(2, 4))
         nodes = random_nodeset(rng, b, d)
         chains = [solvent_chain(nodes, k) for k in range(d)]
-        lo, hi = nodes.spectrum_bounds()
+        lo, hi = spectrum_bounds(nodes)
         samples = np.concatenate([lo - rng.uniform(0.05, 2.0, 10), hi + rng.uniform(0.05, 2.0, 10)])
         records = growth_bound_check(chains, (lo, hi), samples)
         assert all(r.holds for r in records)
@@ -409,7 +364,7 @@ def test_growth_bound_check_matches_pointwise_loop():
     for b, d in ((1, 2), (2, 3), (3, 2)):
         nodes = random_nodeset(rng, b, d)
         chains = [solvent_chain(nodes, k) for k in range(d)]
-        lo, hi = nodes.spectrum_bounds()
+        lo, hi = spectrum_bounds(nodes)
         samples = np.concatenate([lo - rng.uniform(0.05, 2.0, 15), hi + rng.uniform(0.05, 2.0, 15)])
         records = growth_bound_check(chains, (lo, hi), samples)
         norms = fundamental_norms_loop(chains, samples)

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import fundamental_norms_loop, lagrange_scalar, tangent_all_columns
+from helpers import (
+    ZeroGapError,
+    chebyshev_accel_check,
+    chebyshev_value,
+    fundamental_norms_loop,
+    lagrange_scalar,
+    tangent_all_columns,
+)
 from rsbl.lanczos import block_lanczos
 from rsbl.linalg import RngStream, gaussian_matrix
 from rsbl.matpoly import NodeSet, solvent_chain
@@ -16,12 +23,9 @@ from rsbl.robustness import (
     SingularBlockError,
     SingularDifferenceError,
     SingularKError,
-    ZeroGapError,
     _tangent_from_basis,
     _vandermonde_route,
     c_omega,
-    chebyshev_accel_check,
-    chebyshev_value,
     conjecture_experiment,
     growth_Gd,
     lowrank_check,
