@@ -9,6 +9,7 @@ config reproduces the same sample streams.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 
@@ -53,6 +54,13 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if any(v < 1 for v in self.b_list + self.d_list):
             raise ValueError("block sizes and depths must be positive")
+        if self.cluster_dim < 1 or self.ell < 1:
+            raise ValueError("cluster_dim and ell must be >= 1")
+        # written so that NaN fails both checks too
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
+        if not 0.0 <= self.eps < math.inf:
+            raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
         if self.variant not in ("exterior", "interior", "both"):
             raise ValueError("variant must be 'exterior', 'interior' or 'both'")
 
@@ -113,8 +121,6 @@ def _parse_value(text: str, default):
 
 
 def _parse_scalar(text: str, default):
-    if isinstance(default, bool):
-        return text.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(text)
     if isinstance(default, float):

@@ -332,6 +332,7 @@ def rayleigh_ritz(basis: BlockKrylovBasis, how_many: int) -> RitzSet:
     if not 1 <= how_many <= dim:
         raise ValueError(f"how_many must be in [1, {dim}]")
     values, vectors = np.linalg.eigh(basis.T)
+    # index arrays copy the columns; a sliced view changes the product's last bits
     idx = np.arange(dim - how_many, dim)
     return RitzSet(values=values[idx], vectors=basis.V @ vectors[:, idx])
 

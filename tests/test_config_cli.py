@@ -1,11 +1,15 @@
+import dataclasses
 import math
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rsbl.robustness
 from helpers import import_perfbench
@@ -45,6 +49,66 @@ def test_config_rejects_unknown_key():
 def test_config_validates_counts():
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+def test_config_rejects_tol_not_finite_positive(tol):
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        ExperimentConfig(tol=tol)
+
+
+@pytest.mark.parametrize("eps", [math.nan, -0.5, math.inf])
+def test_config_rejects_eps_not_finite_nonnegative(eps):
+    with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+        ExperimentConfig(eps=eps)
+    assert ExperimentConfig(eps=0.0).eps == 0.0
+
+
+@pytest.mark.parametrize("key", ["cluster_dim", "ell"])
+def test_config_rejects_cluster_dim_and_ell_below_one(key):
+    with pytest.raises(ValueError, match="cluster_dim and ell must be >= 1"):
+        ExperimentConfig(**{key: 0})
+    assert getattr(ExperimentConfig(**{key: 1}), key) == 1
+
+
+def test_config_validation_reaches_config_files(tmp_path):
+    path = tmp_path / "nan.cfg"
+    path.write_text("tol = nan\n")
+    with pytest.raises(ValueError, match="tol"):
+        main(["table1", "--config", str(path), "--out", str(tmp_path)])
+
+
+_SAFE_TEXT = st.text(alphabet=string.ascii_letters + string.digits + "_-./", max_size=12)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.integers(min_value=1, max_value=10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    experiment=_SAFE_TEXT,
+    n=_POSITIVE,
+    nrows=_POSITIVE,
+    b_list=st.lists(_POSITIVE, max_size=4).map(tuple),
+    d_list=st.lists(_POSITIVE, max_size=4).map(tuple),
+    beta_list=st.lists(_FINITE, max_size=4).map(tuple),
+    alpha_list=st.lists(_FINITE, max_size=4).map(tuple),
+    trials=_POSITIVE,
+    seed=st.integers(min_value=0, max_value=2**64 - 1),
+    out_dir=_SAFE_TEXT,
+    other_out_dir=_SAFE_TEXT,
+    grid_size=st.integers(min_value=2, max_value=10**6),
+    variant=st.sampled_from(["exterior", "interior", "both"]),
+    tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    cluster_dim=_POSITIVE,
+    ell=_POSITIVE,
+    eps=st.floats(min_value=0.0, allow_infinity=False),
+)
+def test_config_text_round_trip_property(other_out_dir, **values):
+    config = ExperimentConfig(**values)
+    assert ExperimentConfig.from_text(config.to_text()) == config
+    # the output directory never enters the key that derives sample streams
+    moved = dataclasses.replace(config, out_dir=other_out_dir)
+    assert moved.canonical_key("probe", 3) == config.canonical_key("probe", 3)
 
 
 def test_stream_derivation_stable_and_distinct():

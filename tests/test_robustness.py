@@ -14,6 +14,7 @@ from helpers import (
     lagrange_scalar,
     tangent_all_columns,
 )
+from rsbl.experiments import bound_verify_spec
 from rsbl.lanczos import block_lanczos
 from rsbl.linalg import RngStream, gaussian_matrix
 from rsbl.matpoly import NodeSet, solvent_chain
@@ -399,6 +400,42 @@ def test_structural_bound_trial_resamples_singular_trailing_block(monkeypatch, t
     assert report.retries == 1
     assert len(draws) == 2
     assert report.bound_holds
+
+
+def test_structural_bound_trial_gives_up_on_persistent_degeneracy(monkeypatch):
+    import rsbl.robustness
+
+    spec = bound_verify_spec(2, 3, RngStream(41))
+    streams = []
+
+    def zero_draw(rows, cols, rng):
+        streams.append(rng.stream_id)
+        return np.zeros((rows, cols))
+
+    monkeypatch.setattr(rsbl.robustness, "gaussian_matrix", zero_draw)
+    # an all-zero Omega trips c_omega's 1e-14 partition-block gate on every draw
+    with pytest.raises(RuntimeError, match=r"^persistent degeneracy after 8 retries: .*1e-14"):
+        structural_bound_trial(spec, seed=5, base_stream=3)
+    assert streams == list(range(3, 12))
+
+
+def test_structural_bound_trial_resample_is_the_next_stream(monkeypatch):
+    import rsbl.robustness
+
+    spec = bound_verify_spec(2, 3, RngStream(42))
+    expected = structural_bound_trial(spec, seed=5, base_stream=1)
+    streams = []
+
+    def first_draw_zero(rows, cols, rng):
+        streams.append(rng.stream_id)
+        omega = gaussian_matrix(rows, cols, rng)
+        return np.zeros_like(omega) if len(streams) == 1 else omega
+
+    monkeypatch.setattr(rsbl.robustness, "gaussian_matrix", first_draw_zero)
+    report = structural_bound_trial(spec, seed=5)
+    assert streams == [0, 1]
+    assert report.retries == 1 and expected.retries == 0
+    assert report == dataclasses.replace(expected, retries=1)
 
 
 def test_vandermonde_route_k_gate():
