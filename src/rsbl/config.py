@@ -52,6 +52,11 @@ class ExperimentConfig:
             raise ValueError("counts must be positive")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        for name in ("b_list", "d_list", "beta_list"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must not be empty")
         if any(v < 1 for v in self.b_list + self.d_list):
             raise ValueError("block sizes and depths must be positive")
         if self.cluster_dim < 1 or self.ell < 1:

@@ -145,15 +145,28 @@ def spectral_norm(m):
 def max_spectral_norm(m) -> float:
     """Largest spectral norm over a ``(..., r, c)`` stack, bit for bit ``spectral_norm(m).max()``.
 
-    ``||M||_2 <= ||M||_F``: only matrices whose Frobenius norm reaches ``lead``, the top
-    singular value of the Frobenius argmax, get an SVD (slack: 1e-12 for rounding, 1e-150
-    for squares that underflow). numpy takes each SVD of a stack alone, so the bits match.
+    Only matrices whose upper bounds reach ``lead``, the top singular value of the Frobenius
+    argmax, get an SVD (slack: 1e-12 for rounding, 1e-150 for tiny values). The bounds are
+    ``||M||_F``, then the trace bound of Wolkowicz & Styan (Linear Algebra Appl. 29, 1980) on
+    the p-by-p Gram A of M divided by its largest absolute entry (no square over- or
+    underflows): ``lambda_max(A) <= mu + sigma sqrt(p - 1)``, ``mu = tr(A)/p``,
+    ``sigma^2 = ||A - mu I||_F^2 / p``, exact at p <= 2. numpy takes each SVD of a stack
+    alone, so the bits match.
     """
     m = as_stack(m).reshape(-1, *np.shape(m)[-2:])
     fro = np.sqrt(np.einsum("kij,kij->k", m, m))
     lead = np.linalg.svd(m[np.argmax(fro)], compute_uv=False)[0]
-    keep = fro * (1.0 + 1e-12) + 1e-150 >= lead * (1.0 - 1e-12)
-    return float(np.linalg.svd(m[keep], compute_uv=False)[:, 0].max())
+    m = m[fro * (1.0 + 1e-12) + 1e-150 >= lead * (1.0 - 1e-12)]
+    p = min(m.shape[1:])
+    scale = np.abs(m).max(axis=(1, 2))
+    unit = m / np.where(scale > 0.0, scale, 1.0)[:, None, None]
+    gram = unit @ unit.transpose(0, 2, 1) if m.shape[1] == p else unit.transpose(0, 2, 1) @ unit
+    mu = np.trace(gram, axis1=1, axis2=2) / p
+    gram[:, np.arange(p), np.arange(p)] -= mu[:, None]
+    sigma = np.sqrt(np.einsum("kij,kij->k", gram, gram) / p)
+    bound = scale * np.sqrt(mu + sigma * np.sqrt(p - 1.0))
+    m = m[bound * (1.0 + 1e-12) + 1e-150 >= lead * (1.0 - 1e-12)]
+    return float(np.linalg.svd(m, compute_uv=False)[:, 0].max())
 
 
 def smallest_singular(m):

@@ -6,8 +6,10 @@ fundamental polynomials ``F_k`` are the block analogue of Lagrange basis
 polynomials: degree d-1 with ``F_k(B_j) = delta_kj * I``. The package
 computes them one way, through the recursive chain-of-solvents
 factorization (:func:`solvent_chain` + :func:`fundamental_via_chain`) that
-the structural bound rests on. The test suite checks that route against an
-independent one, a brute-force solve against the block Vandermonde matrix.
+the structural bound rests on. Both stack their work (all d chains, all
+grid points) with the bits of a one-at-a-time computation. The test suite
+checks that route against an independent one, a brute-force solve against
+the block Vandermonde matrix.
 """
 from __future__ import annotations
 
@@ -163,43 +165,51 @@ class SolventChain:
         return self.nodes.d
 
 
-def solvent_chain(nodes: NodeSet, k: int) -> SolventChain:
-    """Build the chain factorization for node ``k``.
+def solvent_chain(nodes: NodeSet) -> tuple:
+    """Build the chain factorizations of all d nodes in one stacked pass.
 
-    Raises :class:`ChainBreakdownError` when a fully absorbed difference
-    product fails the ``1e-12`` nonsingularity gate; such draws are
-    measure-zero for Gaussian eigenvector matrices and callers resample.
+    Entry ``k`` of the returned tuple is the :class:`SolventChain` of node
+    ``k``. The recurrence runs level by level, from position d-1 down to 0,
+    over a (d, b, b) stack that holds each chain's node at that position;
+    every stacked product, gate, conjugation and solve treats each chain
+    alone, so entry ``k`` is bit for bit the chain a per-node loop gives.
+    Raises :class:`ChainBreakdownError` at the first level, counting down,
+    where any chain's fully absorbed difference product fails the ``1e-12``
+    nonsingularity gate or its conjugation fails the ``1e-14`` one; such
+    draws are measure-zero for Gaussian eigenvector matrices and callers
+    resample.
     """
     d, b = nodes.d, nodes.b
-    if not 0 <= k < d:
-        raise IndexError(f"node index {k} out of range for {d} nodes")
-    order = (k, *range(k), *range(k + 1, d))
-    lam_p = [nodes.lambdas[i] for i in order]
-    om_p = [nodes.omegas[i] for i in order]
-    b_p = [nodes.bs[i] for i in order]
+    orders = [(k, *range(k), *range(k + 1, d)) for k in range(d)]
+    idx = np.array(orders).T  # idx[i, k]: node at position i of chain k
+    lams, oms, bs = np.stack(nodes.lambdas), np.stack(nodes.omegas), np.stack(nodes.bs)
     eye = np.eye(b)
     b_hats: list = [None] * d
     s_full: list = [None] * d
     for i in range(d - 1, -1, -1):
-        acc = eye
+        b_i = bs[idx[i]]
+        acc = np.broadcast_to(eye, b_i.shape)
         for j in range(d - 1, i, -1):
-            acc = b_p[i] @ acc - acc @ b_hats[j]
+            acc = b_i @ acc - acc @ b_hats[j]
         s_full[i] = acc
         try:
             gated_svals(acc, 1e-12)
-            b_hats[i] = conjugate(om_p[i] @ acc, lam_p[i])
+            b_hats[i] = conjugate(oms[idx[i]] @ acc, lams[idx[i]])
         except SingularMatrixError as exc:
             raise ChainBreakdownError(i) from exc
     # s_full[0] passed the 1e-12 gate above, so the inversion needs no second one
-    s_head_inv = np.linalg.solve(s_full[0], eye)
-    return SolventChain(
-        nodes=nodes,
-        k=k,
-        order=order,
-        lambdas=tuple(lam_p),
-        b_hats=tuple(b_hats),
-        s_full=tuple(s_full),
-        s_head_inv=s_head_inv,
+    s_head_inv = np.linalg.solve(s_full[0], np.broadcast_to(eye, s_full[0].shape))
+    return tuple(
+        SolventChain(
+            nodes=nodes,
+            k=k,
+            order=order,
+            lambdas=tuple(lams[idx[:, k]]),
+            b_hats=tuple(bh[k] for bh in b_hats),
+            s_full=tuple(sf[k] for sf in s_full),
+            s_head_inv=s_head_inv[k],
+        )
+        for k, order in enumerate(orders)
     )
 
 
@@ -209,18 +219,20 @@ def fundamental_via_chain(chain: SolventChain, lam) -> np.ndarray:
     A scalar ``lam`` gives one b-by-b value; a 1-D array of G points gives a
     (G, b, b) stack. The factors ``(lam I - b_hats[i])`` multiply
     left-to-right from the last position down to position 1, then the
-    inverse head product is applied. Every point of a stack goes through
-    the same products in the same order as a scalar call.
+    inverse head product is applied. Each factor is one GEMM over all
+    points, ``lam * acc - acc @ b_hats[i]`` with ``acc`` flattened to
+    (G*b, b) rows, and a scalar call runs the same code on one point, so
+    every point of a stack equals the scalar call bit for bit.
     """
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim > 1:
         raise ValueError(f"lam must be a scalar or a 1-D array, got shape {lam.shape}")
-    shifts = lam[..., None, None] * np.eye(chain.b)
+    b, lam = chain.b, lam[..., None, None]
     if chain.d == 1:
-        return np.broadcast_to(chain.s_head_inv, shifts.shape)
-    acc = shifts - chain.b_hats[chain.d - 1]
+        return np.broadcast_to(chain.s_head_inv, lam.shape[:-2] + (b, b))
+    acc = lam * np.eye(b) - chain.b_hats[chain.d - 1]
     for i in range(chain.d - 2, 0, -1):
-        acc = acc @ (shifts - chain.b_hats[i])
+        acc = lam * acc - (acc.reshape(-1, b) @ chain.b_hats[i]).reshape(acc.shape)
     return acc @ chain.s_head_inv
 
 

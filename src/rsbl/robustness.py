@@ -310,7 +310,7 @@ def structural_bound_trial(
             blocks = spec.omega_blocks(omega)
             c_om = c_omega(spec, omega)
             nodes = NodeSet(spec.lambda_blocks, tuple(blocks[: spec.d]))
-            chains = tuple(solvent_chain(nodes, k) for k in range(spec.d))
+            chains = solvent_chain(nodes)
             tan_van, k_mat = _vandermonde_route(spec, blocks, nodes)
         except _RESAMPLE_ERRORS as exc:
             last_exc = exc

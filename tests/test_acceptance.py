@@ -115,8 +115,7 @@ def test_criterion_04_fundamental_oracle_equivalence(oracle_instances):
     worst = 0.0
     for nodes, cond, lams in oracle_instances:
         d, b = nodes.d, nodes.b
-        for k in range(d):
-            chain = solvent_chain(nodes, k)
+        for k, chain in enumerate(solvent_chain(nodes)):
             solved = fundamental_via_solve(nodes, k)
             for lam in lams:
                 ref = eval_lambda(solved, float(lam))
@@ -172,7 +171,7 @@ def test_criterion_05_interpolation_identity(oracle_instances):
         if d < 2:
             continue
         phi = random_polynomial(rng, b, d - 1)
-        chains = [solvent_chain(nodes, k) for k in range(d)]
+        chains = solvent_chain(nodes)
         values = [eval_matrix(phi, bmat) for bmat in nodes.bs]
         for lam in lams:
             expect = eval_lambda(phi, float(lam))
@@ -292,7 +291,7 @@ def test_criterion_09_scalar_reduction():
             tuple(np.array([v]) for v in vals),
             tuple(rng.standard_normal((1, 1)) for _ in range(d)),
         )
-        chains = [solvent_chain(nodes, k) for k in range(d)]
+        chains = solvent_chain(nodes)
         chi_mono, chi_coef = chi_quantities(nodes, chains, (float(vals[0]), float(vals[-1])))
         assert chi_mono == 1.0
         assert chi_coef <= 1.0 + 1e-12

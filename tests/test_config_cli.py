@@ -78,6 +78,26 @@ def test_config_validation_reaches_config_files(tmp_path):
         main(["table1", "--config", str(path), "--out", str(tmp_path)])
 
 
+def test_config_rejects_negative_seed(tmp_path):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        ExperimentConfig(seed=-1)
+    assert ExperimentConfig(seed=0).seed == 0
+    with pytest.raises(ValueError, match="seed"):
+        main(["sandwich", "--seed", "-1", "--trials", "2", "--out", str(tmp_path)])
+
+
+@pytest.mark.parametrize("key", ["b_list", "d_list", "beta_list"])
+def test_config_rejects_empty_lists(tmp_path, key):
+    with pytest.raises(ValueError, match=f"^{key} must not be empty$"):
+        ExperimentConfig(**{key: ()})
+    path = tmp_path / "empty.cfg"
+    path.write_text(f"{key} =\n")
+    with pytest.raises(ValueError, match=key):
+        main(["bound-verify", "--config", str(path), "--out", str(tmp_path)])
+    assert not any(tmp_path.glob("*.csv"))
+    assert ExperimentConfig(alpha_list=()).alpha_list == ()
+
+
 _SAFE_TEXT = st.text(alphabet=string.ascii_letters + string.digits + "_-./", max_size=12)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 _POSITIVE = st.integers(min_value=1, max_value=10**6)
@@ -88,9 +108,9 @@ _POSITIVE = st.integers(min_value=1, max_value=10**6)
     experiment=_SAFE_TEXT,
     n=_POSITIVE,
     nrows=_POSITIVE,
-    b_list=st.lists(_POSITIVE, max_size=4).map(tuple),
-    d_list=st.lists(_POSITIVE, max_size=4).map(tuple),
-    beta_list=st.lists(_FINITE, max_size=4).map(tuple),
+    b_list=st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
+    d_list=st.lists(_POSITIVE, min_size=1, max_size=4).map(tuple),
+    beta_list=st.lists(_FINITE, min_size=1, max_size=4).map(tuple),
     alpha_list=st.lists(_FINITE, max_size=4).map(tuple),
     trials=_POSITIVE,
     seed=st.integers(min_value=0, max_value=2**64 - 1),

@@ -257,12 +257,26 @@ def test_norms_of_a_stack_match_the_loop():
 
 @st.composite
 def _scaled_stack(draw):
-    """(G, r, c) stack, r and c in 1..4, with per-matrix scales in [1e-8, 1e8] and repeats."""
+    """(G, r, c) stack with repeats: r and c in 1..4, drawn apart.
+
+    Members are Gaussian, scaled orthogonal (all singular values equal, so the trace
+    bound is tight) or rank one. Per-matrix scales are ``10**(center + u)`` with
+    ``center`` in [-200, 200] and ``u`` within a drawn spread, so whole stacks can sit
+    where the Frobenius squares overflow or underflow.
+    """
     g = draw(st.integers(1, 300))
     r, c = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     distinct = draw(st.integers(1, g))
+    center = draw(st.floats(-200.0, 200.0))
+    spread = draw(st.sampled_from([0.0, 1.0, 8.0]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    base = rng.standard_normal((distinct, r, c)) * 10.0 ** rng.uniform(-8.0, 8.0, (distinct, 1, 1))
+    base = rng.standard_normal((distinct, r, c))
+    q = np.linalg.qr(rng.standard_normal((distinct, max(r, c), min(r, c))))[0]
+    orthogonal = q if r >= c else q.transpose(0, 2, 1)
+    rank_one = base[:, :, :1] @ rng.standard_normal((distinct, 1, c))
+    kind = rng.integers(0, 3, distinct)[:, None, None]
+    base = np.where(kind == 1, orthogonal, np.where(kind == 2, rank_one, base))
+    base *= 10.0 ** (center + rng.uniform(-spread, spread, (distinct, 1, 1)))
     return base[rng.integers(0, distinct, g)]
 
 

@@ -179,7 +179,7 @@ def test_fundamental_kronecker_property():
 def test_chain_d2_closed_form():
     rng = np.random.default_rng(4)
     nodes = random_nodeset(rng, 2, 2)
-    chain = solvent_chain(nodes, 0)
+    chain = solvent_chain(nodes)[0]
     b1, b2 = nodes.bs
     assert np.allclose(chain.s_full[0], b1 - b2)
     lam = 0.37
@@ -193,8 +193,7 @@ def test_chain_grid_matches_scalar_calls(b, d):
     rng = np.random.default_rng(100 + 10 * b + d)
     nodes = random_nodeset(rng, b, d)
     lams = np.linspace(-2.0, 4.0, 37)
-    for k in range(d):
-        chain = solvent_chain(nodes, k)
+    for chain in solvent_chain(nodes):
         stack = fundamental_via_chain(chain, lams)
         assert stack.shape == (lams.size, b, b)
         for lam, got in zip(lams, stack):
@@ -217,13 +216,13 @@ def test_chain_breakdown_on_singular_difference():
     nodes = NodeSet((np.array([0.0, 1.0]), np.array([2.0, 3.0])), (np.eye(2), omega1))
     # the 1e-12 gate itself trips, before the later solves' 1e-14 gates can
     with pytest.raises(ChainBreakdownError, match="^chain breakdown at position 0$"):
-        solvent_chain(nodes, 0)
+        solvent_chain(nodes)
 
 
 def test_chain_identity_eigenvectors_stays_diagonal():
     lams = (np.array([0.0, 0.5]), np.array([1.0, 1.5]), np.array([2.0, 2.5]))
     nodes = NodeSet(lams, (np.eye(2), np.eye(2), np.eye(2)))
-    chain = solvent_chain(nodes, 0)
+    chain = solvent_chain(nodes)[0]
     for i in range(3):
         assert np.allclose(chain.b_hats[i], np.diag(chain.lambdas[i]))
         assert np.allclose(chain.s_full[i], np.diag(np.diag(chain.s_full[i])))
@@ -236,28 +235,48 @@ def test_chain_matches_scalar_lagrange():
         tuple(np.array([v]) for v in vals),
         tuple(rng.standard_normal((1, 1)) for _ in vals),
     )
-    for k in range(4):
-        chain = solvent_chain(nodes, k)
+    for k, chain in enumerate(solvent_chain(nodes)):
         for lam in rng.uniform(-1.0, 3.0, 5):
             got = fundamental_via_chain(chain, lam)[0, 0]
             assert got == pytest.approx(lagrange_scalar(vals, k, lam), abs=1e-12)
 
 
 def test_chain_stored_recurrence_and_permutation():
+    # every entry of the stacked pass equals the per-node recurrence bit for bit
     rng = np.random.default_rng(6)
     nodes = random_nodeset(rng, 2, 4)
-    chain = solvent_chain(nodes, 2)
-    assert chain.order == (2, 0, 1, 3)
+    chains = solvent_chain(nodes)
+    assert [chain.order for chain in chains] == [
+        (0, 1, 2, 3), (1, 0, 2, 3), (2, 0, 1, 3), (3, 0, 1, 2)
+    ]
     d = nodes.d
-    for i in range(d):
-        acc = np.eye(2)
-        b_i = nodes.bs[chain.order[i]]
-        for j in range(d - 1, i, -1):
-            acc = b_i @ acc - acc @ chain.b_hats[j]
-        assert np.array_equal(chain.s_full[i], acc)
-        node = chain.order[i]
-        expect = conjugate(nodes.omegas[node] @ acc, nodes.lambdas[node])
-        assert np.array_equal(chain.b_hats[i], expect)
+    for k, chain in enumerate(chains):
+        assert chain.k == k
+        for i in range(d):
+            acc = np.eye(2)
+            node = chain.order[i]
+            for j in range(d - 1, i, -1):
+                acc = nodes.bs[node] @ acc - acc @ chain.b_hats[j]
+            assert np.array_equal(chain.s_full[i], acc)
+            assert np.array_equal(chain.lambdas[i], nodes.lambdas[node])
+            expect = conjugate(nodes.omegas[node] @ acc, nodes.lambdas[node])
+            assert np.array_equal(chain.b_hats[i], expect)
+        assert np.array_equal(chain.s_head_inv, np.linalg.solve(chain.s_full[0], np.eye(2)))
+
+
+def test_stacked_chain_breaks_down_at_the_first_level_any_chain_trips():
+    # B0 - B1 is singular as above. Chain 2, ordered (2, 0, 1), absorbs B1 into B0 at
+    # level 1 and trips there; chains 0 and 1 pass every level on their own.
+    omega1 = np.array([[-3.0, 2.0], [2.0, -1.0]])
+    omega2 = np.array([[1.0, 0.5], [0.2, 1.0]])
+    lams = (np.array([0.0, 1.0]), np.array([2.0, 3.0]), np.array([4.0, 5.0]))
+    nodes = NodeSet(lams, (np.eye(2), omega1, omega2))
+    with pytest.raises(ChainBreakdownError, match="^chain breakdown at position 1$") as info:
+        solvent_chain(nodes)
+    assert isinstance(info.value.__cause__, SingularMatrixError)
+    assert "1e-12" in str(info.value.__cause__)
+    # the level-1 product of chain 0 is B1 - B2, nonsingular
+    assert np.linalg.svd(nodes.bs[1] - nodes.bs[2], compute_uv=False)[-1] > 0.1
 
 
 def test_chain_agrees_with_solve_oracle():
@@ -268,7 +287,7 @@ def test_chain_agrees_with_solve_oracle():
         nodes = random_nodeset(rng, b, d)
         cond = np.linalg.cond(block_vandermonde(nodes))
         k = int(rng.integers(0, d))
-        chain = solvent_chain(nodes, k)
+        chain = solvent_chain(nodes)[k]
         f = fundamental_via_solve(nodes, k)
         for lam in rng.uniform(-0.5, d * 0.5, 6):
             ref = eval_lambda(f, lam)
@@ -280,7 +299,7 @@ def test_chain_agrees_with_solve_oracle():
 def test_chain_single_node_is_identity():
     rng = np.random.default_rng(8)
     nodes = random_nodeset(rng, 3, 1)
-    chain = solvent_chain(nodes, 0)
+    chain = solvent_chain(nodes)[0]
     assert np.allclose(fundamental_via_chain(chain, -2.3), np.eye(3))
 
 
@@ -292,7 +311,7 @@ def test_interpolation_identity():
         nodes = random_nodeset(rng, b, d)
         cond = np.linalg.cond(block_vandermonde(nodes))
         phi = random_polynomial(rng, b, d - 1)
-        chains = [solvent_chain(nodes, k) for k in range(d)]
+        chains = solvent_chain(nodes)
         for lam in rng.uniform(-1.0, d, 5):
             expect = eval_lambda(phi, lam)
             got = np.zeros((b, b))
@@ -309,7 +328,7 @@ def test_chi_scalar_case():
         tuple(np.array([v]) for v in vals),
         tuple(rng.standard_normal((1, 1)) for _ in vals),
     )
-    chains = [solvent_chain(nodes, k) for k in range(3)]
+    chains = solvent_chain(nodes)
     chi_mono, chi_coef = chi_quantities(nodes, chains, (0.0, 1.0))
     assert chi_mono == 1.0
     assert chi_coef <= 1.0 + 1e-12
@@ -318,7 +337,7 @@ def test_chi_scalar_case():
 def test_chi_identity_eigenvectors():
     lams = (np.array([0.1, 0.2]), np.array([0.6, 0.7]))
     nodes = NodeSet(lams, (np.eye(2), np.eye(2)))
-    chains = [solvent_chain(nodes, k) for k in range(2)]
+    chains = solvent_chain(nodes)
     chi_mono, _ = chi_quantities(nodes, chains, (0.0, 1.0))
     assert chi_mono == pytest.approx(1.0, abs=1e-12)
 
@@ -326,7 +345,7 @@ def test_chi_identity_eigenvectors():
 def test_chi_d2_closed_form():
     rng = np.random.default_rng(14)
     nodes = random_nodeset(rng, 2, 2)
-    chains = [solvent_chain(nodes, k) for k in range(2)]
+    chains = solvent_chain(nodes)
     lo, hi = spectrum_bounds(nodes)
     _, chi_coef = chi_quantities(nodes, chains, (lo, hi))
     expected = 0.0
@@ -341,7 +360,7 @@ def test_chi_d2_closed_form():
 def test_chi_degenerate_endpoint():
     lams = (np.array([0.0, 0.0]), np.array([1.0, 2.0]))
     nodes = NodeSet(lams, (np.eye(2), np.eye(2)))
-    chains = [solvent_chain(nodes, k) for k in range(2)]
+    chains = solvent_chain(nodes)
     with pytest.raises(DegenerateEndpointError):
         chi_quantities(nodes, chains, (0.0, 2.0))
 
@@ -352,7 +371,7 @@ def test_growth_bound_check_holds():
         b = int(rng.integers(1, 4))
         d = int(rng.integers(2, 4))
         nodes = random_nodeset(rng, b, d)
-        chains = [solvent_chain(nodes, k) for k in range(d)]
+        chains = solvent_chain(nodes)
         lo, hi = spectrum_bounds(nodes)
         samples = np.concatenate([lo - rng.uniform(0.05, 2.0, 10), hi + rng.uniform(0.05, 2.0, 10)])
         records = growth_bound_check(chains, (lo, hi), samples)
@@ -363,7 +382,7 @@ def test_growth_bound_check_matches_pointwise_loop():
     rng = np.random.default_rng(19)
     for b, d in ((1, 2), (2, 3), (3, 2)):
         nodes = random_nodeset(rng, b, d)
-        chains = [solvent_chain(nodes, k) for k in range(d)]
+        chains = solvent_chain(nodes)
         lo, hi = spectrum_bounds(nodes)
         samples = np.concatenate([lo - rng.uniform(0.05, 2.0, 15), hi + rng.uniform(0.05, 2.0, 15)])
         records = growth_bound_check(chains, (lo, hi), samples)
@@ -382,7 +401,7 @@ def test_growth_bound_scalar_matches_lagrange():
         tuple(np.array([v]) for v in vals),
         tuple(rng.standard_normal((1, 1)) for _ in vals),
     )
-    chains = [solvent_chain(nodes, k) for k in range(3)]
+    chains = solvent_chain(nodes)
     records = growth_bound_check(chains, (0.0, 0.8), [1.5, -0.7])
     for rec in records:
         expect = max(abs(lagrange_scalar(vals, k, rec.lam)) for k in range(3)) ** 0.5
@@ -398,8 +417,7 @@ def test_genericity_no_breakdowns():
         nodes = random_nodeset(rng, b, d, separation=0.05)
         try:
             fundamental_via_solve(nodes, 0)
-            for k in range(d):
-                solvent_chain(nodes, k)
+            solvent_chain(nodes)
         except (SingularVandermondeError, ChainBreakdownError):
             failures += 1
     assert failures == 0

@@ -17,7 +17,7 @@ from helpers import (
 from rsbl.experiments import bound_verify_spec
 from rsbl.lanczos import block_lanczos
 from rsbl.linalg import RngStream, gaussian_matrix
-from rsbl.matpoly import NodeSet, solvent_chain
+from rsbl.matpoly import ChainBreakdownError, NodeSet, solvent_chain
 from rsbl.robustness import (
     ClusterSpec,
     ExperimentFamily,
@@ -306,7 +306,7 @@ def test_growth_gd_single_node_is_one():
     spec = make_spec(rng, 2, 1, m=8)
     omega = gaussian_matrix(spec.n, 2, RngStream(14))
     nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(omega)[:1]))
-    chains = [solvent_chain(nodes, 0)]
+    chains = solvent_chain(nodes)
     assert growth_Gd(spec, chains) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -315,7 +315,7 @@ def test_growth_gd_scalar_matches_lagrange():
     spec = make_spec(rng, 1, 3, m=10)
     omega = gaussian_matrix(spec.n, 1, RngStream(16))
     nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(omega)[:3]))
-    chains = [solvent_chain(nodes, k) for k in range(3)]
+    chains = solvent_chain(nodes)
     got = growth_Gd(spec, chains, grid_size=500)
     vals = [blk[0] for blk in spec.lambda_blocks]
     samples = outside_grid(spec, 500)
@@ -331,7 +331,7 @@ def test_growth_gd_matches_pointwise_loop():
         spec = make_spec(rng, b, d, m=10)
         omega = gaussian_matrix(spec.n, b, RngStream(21))
         nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(omega)[:d]))
-        chains = [solvent_chain(nodes, k) for k in range(d)]
+        chains = solvent_chain(nodes)
         expected = fundamental_norms_loop(chains, outside_grid(spec, 300)).max()
         assert growth_Gd(spec, chains, grid_size=300) == expected
 
@@ -341,7 +341,7 @@ def test_growth_gd_rejects_non_finite_values():
     spec = make_spec(rng, 2, 2, m=8)
     omega = gaussian_matrix(spec.n, 2, RngStream(23))
     nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(omega)[:2]))
-    chains = [solvent_chain(nodes, k) for k in range(2)]
+    chains = list(solvent_chain(nodes))
     bad = chains[1].s_head_inv.copy()
     bad[0, 1] = np.nan
     chains[1] = dataclasses.replace(chains[1], s_head_inv=bad)
@@ -355,7 +355,7 @@ def test_growth_gd_grid_refinement_stable():
     spec = make_spec(rng, 2, 2, m=10)
     omega = gaussian_matrix(spec.n, 2, RngStream(18))
     nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(omega)[:2]))
-    chains = [solvent_chain(nodes, k) for k in range(2)]
+    chains = solvent_chain(nodes)
     g1 = growth_Gd(spec, chains, grid_size=1000)
     g2 = growth_Gd(spec, chains, grid_size=4000)
     assert abs(g1 - g2) <= 0.01 * g2
@@ -400,6 +400,33 @@ def test_structural_bound_trial_resamples_singular_trailing_block(monkeypatch, t
     assert report.retries == 1
     assert len(draws) == 2
     assert report.bound_holds
+
+
+def test_structural_bound_trial_resamples_chain_breakdown(monkeypatch):
+    import rsbl.robustness
+
+    # the first draw puts the singular-difference fixture of test_matpoly in the leading
+    # blocks: NodeSet and c_omega accept it, the stacked chain pass breaks down at level 0
+    spec = ClusterSpec(8, 2, 2, ([0.0, 1.0], [2.0, 3.0]), [-4.0, -3.0, -2.0, -1.0], 0.0, 3.0)
+    lead = np.array([[1.0, 0.0], [0.0, 1.0], [-3.0, 2.0], [2.0, -1.0]])
+    expected = structural_bound_trial(spec, seed=5, base_stream=1, grid_size=200)
+    draws = []
+
+    def first_draw_breaks_chain(rows, cols, rng):
+        omega = gaussian_matrix(rows, cols, rng)
+        if not draws:
+            omega[:4] = lead
+        draws.append(omega)
+        return omega
+
+    monkeypatch.setattr(rsbl.robustness, "gaussian_matrix", first_draw_breaks_chain)
+    report = structural_bound_trial(spec, seed=5, grid_size=200)
+    nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(draws[0])[:2]))
+    c_omega(spec, draws[0])
+    with pytest.raises(ChainBreakdownError, match="^chain breakdown at position 0$"):
+        solvent_chain(nodes)
+    assert len(draws) == 2 and expected.retries == 0
+    assert report == dataclasses.replace(expected, retries=1)
 
 
 def test_structural_bound_trial_gives_up_on_persistent_degeneracy(monkeypatch):
