@@ -169,10 +169,12 @@ def solvent_chain(nodes: NodeSet) -> tuple:
     """Build the chain factorizations of all d nodes in one stacked pass.
 
     Entry ``k`` of the returned tuple is the :class:`SolventChain` of node
-    ``k``. The recurrence runs level by level, from position d-1 down to 0,
+    ``k``. The recurrence runs level by level, from position d-2 down to 0,
     over a (d, b, b) stack that holds each chain's node at that position;
     every stacked product, gate, conjugation and solve treats each chain
     alone, so entry ``k`` is bit for bit the chain a per-node loop gives.
+    Position d-1 absorbs nothing, so its product is ``I`` and its companion
+    is the node itself, already conjugated and gated in ``nodes.bs``.
     Raises :class:`ChainBreakdownError` at the first level, counting down,
     where any chain's fully absorbed difference product fails the ``1e-12``
     nonsingularity gate or its conjugation fails the ``1e-14`` one; such
@@ -184,9 +186,9 @@ def solvent_chain(nodes: NodeSet) -> tuple:
     idx = np.array(orders).T  # idx[i, k]: node at position i of chain k
     lams, oms, bs = np.stack(nodes.lambdas), np.stack(nodes.omegas), np.stack(nodes.bs)
     eye = np.eye(b)
-    b_hats: list = [None] * d
-    s_full: list = [None] * d
-    for i in range(d - 1, -1, -1):
+    b_hats: list = [None] * (d - 1) + [bs[idx[d - 1]]]
+    s_full: list = [None] * (d - 1) + [np.broadcast_to(eye, bs.shape)]
+    for i in range(d - 2, -1, -1):
         b_i = bs[idx[i]]
         acc = np.broadcast_to(eye, b_i.shape)
         for j in range(d - 1, i, -1):
@@ -197,7 +199,8 @@ def solvent_chain(nodes: NodeSet) -> tuple:
             b_hats[i] = conjugate(oms[idx[i]] @ acc, lams[idx[i]])
         except SingularMatrixError as exc:
             raise ChainBreakdownError(i) from exc
-    # s_full[0] passed the 1e-12 gate above, so the inversion needs no second one
+    # s_full[0] is I (d = 1) or passed the 1e-12 gate above, so the inversion needs no
+    # second one
     s_head_inv = np.linalg.solve(s_full[0], np.broadcast_to(eye, s_full[0].shape))
     return tuple(
         SolventChain(

@@ -117,18 +117,12 @@ class ClusterSpec:
             raise ValueError("n must be a multiple of b for the block partition")
         return self.n // self.b
 
-    def omega_blocks(self, omega) -> list:
+    def omega_blocks(self, omega) -> np.ndarray:
+        """The ``(m, b, b)`` partition blocks of Omega, a view of its rows."""
         omega = as_matrix(omega, "Omega")
         if omega.shape != (self.n, self.b):
             raise ValueError(f"Omega must be {self.n} x {self.b}")
-        m = self.block_count()
-        return [omega[i * self.b:(i + 1) * self.b] for i in range(m)]
-
-    def perp_lambda_blocks(self) -> list:
-        m = self.block_count()
-        return [
-            self.lambda_perp[i * self.b:(i + 1) * self.b] for i in range(m - self.d)
-        ]
+        return omega.reshape(self.block_count(), self.b, self.b)
 
 
 def tan_angle_krylov(spec: ClusterSpec, omega, steps: int) -> float:
@@ -175,32 +169,30 @@ def _tangent_from_basis(v: np.ndarray, bd: int) -> float:
     return float(np.linalg.norm(v[bd:, :] @ wt[-1]) / svals[-1])
 
 
-def _block_diag(blocks) -> np.ndarray:
-    b = blocks[0].shape[0]
-    out = np.zeros((b * len(blocks), b * len(blocks)))
-    for i, blk in enumerate(blocks):
-        out[i * b:(i + 1) * b, i * b:(i + 1) * b] = blk
-    return out
-
-
 def _vandermonde_route(spec: ClusterSpec, blocks, nodes: NodeSet):
     """Return ``(tangent, K)`` of the explicit factorization route."""
-    k_mat = _block_diag(blocks[: spec.d]) @ block_vandermonde(nodes)
-    tail = conjugate(np.stack(blocks[spec.d:]), np.stack(spec.perp_lambda_blocks()))
-    k_perp = _block_diag(blocks[spec.d:]) @ block_vandermonde(tail, spec.d)
+    b, d = spec.b, spec.d
+    k_mat = (blocks[:d] @ block_vandermonde(nodes).reshape(d, b, b * d)).reshape(b * d, b * d)
+    tail = blocks[d:].reshape(-1, b)
+    k_perp = [tail]
+    for _ in range(d - 1):
+        k_perp.append(spec.lambda_perp[:, None] * k_perp[-1])
     gated_svals(k_mat, 1e-14, SingularKError)
-    coeffs = np.linalg.solve(k_mat.T, k_perp.T)
+    coeffs = np.linalg.solve(k_mat.T, np.hstack(k_perp).T)
     return spectral_norm(coeffs.T), k_mat
 
 
 def tan_angle_vandermonde(spec: ClusterSpec, omega) -> float:
     """Tangent of the largest principal angle via the explicit factorization.
 
-    The leading rows of the Krylov matrix factor as ``K = D * Van`` with D
-    the block diagonal of the first d partition blocks of Omega and Van the
-    block Vandermonde of the conjugated nodes; the trailing rows factor the
-    same way over the out-of-cluster blocks. The tangent is
-    ``||K_perp @ inv(K)||``.
+    The Krylov matrix ``[Omega, A Omega, ..., A^(d-1) Omega]`` has block row
+    ``[Omega_j, L_j Omega_j, ..., L_j^(d-1) Omega_j]`` for partition block j
+    with spectrum ``L_j``. Since ``Omega_j B_j^p = L_j^p Omega_j`` for the
+    node ``B_j = inv(Omega_j) L_j Omega_j``, the leading rows factor as
+    ``K = D * Van`` with D the block diagonal of the first d partition
+    blocks and Van the block Vandermonde of the nodes; the trailing rows
+    ``K_perp`` are formed from ``lambda_perp`` directly, with no node. The
+    tangent is ``||K_perp @ inv(K)||``.
     """
     blocks = spec.omega_blocks(omega)
     nodes = NodeSet(spec.lambda_blocks, tuple(blocks[: spec.d]))
@@ -217,10 +209,9 @@ def c_omega(spec: ClusterSpec, omega) -> float:
     exactly as the bound is defined.
     """
     blocks = spec.omega_blocks(omega)
-    m = spec.block_count()
-    if m <= spec.d:
+    if len(blocks) <= spec.d:
         raise ValueError("need at least one out-of-cluster block (m > d)")
-    svals = gated_svals(np.stack(blocks), 1e-14, SingularBlockError)
+    svals = gated_svals(blocks, 1e-14, SingularBlockError)
     top, low = svals[:, 0], svals[:, -1]
     inv_lead = (1.0 / low[: spec.d]).max()
     norm_tail = top[spec.d:].max()

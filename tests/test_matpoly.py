@@ -261,6 +261,9 @@ def test_chain_stored_recurrence_and_permutation():
             assert np.array_equal(chain.lambdas[i], nodes.lambdas[node])
             expect = conjugate(nodes.omegas[node] @ acc, nodes.lambdas[node])
             assert np.array_equal(chain.b_hats[i], expect)
+        # position d-1 absorbs nothing: its companion is the node set's node, bit for bit
+        assert np.array_equal(chain.b_hats[d - 1], nodes.bs[chain.order[d - 1]])
+        assert np.array_equal(chain.s_full[d - 1], np.eye(2))
         assert np.array_equal(chain.s_head_inv, np.linalg.solve(chain.s_full[0], np.eye(2)))
 
 

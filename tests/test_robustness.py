@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -216,6 +216,37 @@ def test_vandermonde_route_d1_reduction():
     assert tan_angle_vandermonde(spec, omega) == pytest.approx(expected, rel=1e-10)
 
 
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    b=st.integers(1, 3),
+    dm=st.integers(1, 3).flatmap(lambda d: st.tuples(st.just(d), st.integers(d + 2, 16))),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_route_equivalence_property(b, dm, seed):
+    # criterion 6's bar: the routes agree to 1e-6 wherever cond_1(K) < 1e8
+    d, m = dm
+    spec = make_spec(np.random.default_rng(seed), b, d, m=m)
+    omega = gaussian_matrix(spec.n, b, RngStream(seed))
+    blocks = spec.omega_blocks(omega)
+    t_v, k_mat = _vandermonde_route(spec, blocks, NodeSet(spec.lambda_blocks, tuple(blocks[:d])))
+    assume(np.linalg.cond(k_mat, 1) < 1e8)
+    assert tan_angle_krylov(spec, omega, d) == pytest.approx(t_v, rel=1e-6)
+
+
+@pytest.mark.parametrize("b, d", [(1, 2), (2, 2), (2, 3), (3, 3)])
+def test_vandermonde_route_zero_trailing_block(b, d):
+    # the trailing rows are diag(lambda_perp)^p Omega_perp, so a zero trailing block
+    # is just zero rows of K_perp
+    spec = make_spec(np.random.default_rng(40 + b + d), b, d, m=8)
+    omega = gaussian_matrix(spec.n, b, RngStream(41))
+    omega[-b:] = 0.0
+    lam = spec.spectrum()[:, None]
+    k_full = np.hstack([lam**p * omega for p in range(d)])
+    bd = b * d
+    expected = np.linalg.norm(k_full[bd:] @ np.linalg.inv(k_full[:bd]), 2)
+    assert tan_angle_vandermonde(spec, omega) == pytest.approx(expected, rel=1e-10)
+
+
 def _affine_image(spec: ClusterSpec, scale: float, shift: float) -> ClusterSpec:
     return ClusterSpec(
         n=spec.n, b=spec.b, d=spec.d,
@@ -378,8 +409,8 @@ def test_structural_bound_trials_hold():
             )
 
 
-# c_omega's gate trips on both blocks first; the trailing conjugation's gate
-# would reject them too, the zero 1 x 1 block at b = 1 included
+# c_omega's gate is the only gate on the trailing blocks: it trips on both, the
+# zero 1 x 1 block at b = 1 included
 @pytest.mark.parametrize("tail", [np.ones((2, 2)), np.zeros((1, 1))])
 def test_structural_bound_trial_resamples_singular_trailing_block(monkeypatch, tail):
     import rsbl.robustness
