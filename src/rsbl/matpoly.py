@@ -6,21 +6,19 @@ fundamental polynomials ``F_k`` are the block analogue of Lagrange basis
 polynomials: degree d-1 with ``F_k(B_j) = delta_kj * I``. The package
 computes them one way, through the recursive chain-of-solvents
 factorization (:func:`solvent_chain` + :func:`fundamental_via_chain`) that
-the structural bound rests on. Both stack their work (all d chains, all
-grid points) with the bits of a one-at-a-time computation. The test suite
-checks that route against an independent one, a brute-force solve against
-the block Vandermonde matrix.
+the structural bound rests on. Nodes and chains are held as stacked
+arrays, and each stacked step keeps the bits of a one-at-a-time
+computation. The test suite checks that route against an independent one,
+a brute-force solve against the block Vandermonde matrix.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .linalg import (
     SingularMatrixError,
-    as_matrix,
     as_stack,
     gated_svals,
     spectral_norm,
@@ -59,40 +57,48 @@ def conjugate(omega, lam, rtol: float = 1e-14) -> np.ndarray:
     return np.linalg.solve(omega, lam[..., :, None] * omega)
 
 
+def separations(spectra) -> np.ndarray:
+    """Per row of a (d, b) spectra array, its smallest ``|lam_i - lam_j|`` to any other row.
+
+    One broadcast over every (row, row, b, b) pair; a single row gets inf.
+    """
+    lams = np.asarray(spectra, dtype=np.float64)
+    gaps = np.abs(lams[:, None, :, None] - lams[None, :, None, :])
+    gaps[np.diag_indices(len(lams))] = np.inf
+    return gaps.min(axis=(1, 2, 3))
+
+
 def min_separation(spectra) -> float:
-    """Smallest ``|lam_i - lam_j|`` between eigenvalues of different spectra; inf for one."""
-    gap = math.inf
-    for i in range(len(spectra)):
-        for j in range(i + 1, len(spectra)):
-            gap = min(gap, float(np.min(np.abs(spectra[i][:, None] - spectra[j][None, :]))))
-    return gap
+    """Smallest ``|lam_i - lam_j|`` between eigenvalues of different rows of a (d, b) array; inf for one."""
+    return float(separations(spectra).min())
 
 
 @dataclass(frozen=True)
 class NodeSet:
     """Interpolation nodes ``B_i = inv(Omega_i) diag(lam_i) Omega_i``.
 
-    The diagonal spectra are supplied explicitly, one 1-D array of length b
-    per node, and must be pairwise disjoint across nodes. Each eigenvector
-    matrix must pass the ``1e-12 * ||Omega_i||`` nonsingularity gate.
+    The diagonal spectra are supplied explicitly, one length-b row per node,
+    and must be pairwise disjoint across nodes. Each eigenvector matrix must
+    pass the ``1e-12 * ||Omega_i||`` nonsingularity gate. The set keeps
+    ``lambdas`` as a (d, b) array and ``omegas`` and the conjugated nodes
+    ``bs`` as (d, b, b) arrays.
     """
 
-    lambdas: tuple
-    omegas: tuple
-    bs: tuple = field(init=False, compare=False)
+    lambdas: np.ndarray
+    omegas: np.ndarray
+    bs: np.ndarray = field(init=False, compare=False)
 
     def __post_init__(self):
-        lams = tuple(np.asarray(l, dtype=np.float64).reshape(-1) for l in self.lambdas)
-        oms = tuple(as_matrix(o, "Omega") for o in self.omegas)
-        if len(lams) != len(oms) or not lams:
+        lams = [np.asarray(l, dtype=np.float64).reshape(-1) for l in self.lambdas]
+        if len(lams) != len(self.omegas) or not lams:
             raise ValueError("need matching, nonempty spectra and eigenvector matrices")
         b = lams[0].size
-        for lam, om in zip(lams, oms):
-            if lam.size != b or om.shape != (b, b):
-                raise DimensionMismatchError("all nodes must share one block size")
-            if not np.isfinite(lam).all():
-                raise ValueError("node spectrum contains non-finite entries")
-        bs = tuple(conjugate(np.stack(oms), np.stack(lams), rtol=1e-12))
+        if any(l.size != b for l in lams) or any(np.shape(o) != (b, b) for o in self.omegas):
+            raise DimensionMismatchError("all nodes must share one block size")
+        lams, oms = np.stack(lams), np.asarray(self.omegas, dtype=np.float64)
+        if not np.isfinite(lams).all():
+            raise ValueError("node spectrum contains non-finite entries")
+        bs = conjugate(oms, lams, rtol=1e-12)
         if min_separation(lams) == 0.0:
             raise ValueError("two nodes share an eigenvalue")
         object.__setattr__(self, "lambdas", lams)
@@ -101,12 +107,11 @@ class NodeSet:
 
     @property
     def b(self) -> int:
-        return self.lambdas[0].size
+        return self.lambdas.shape[1]
 
     @property
     def d(self) -> int:
-        return len(self.lambdas)
-
+        return self.lambdas.shape[0]
 
 
 def block_vandermonde(nodes, d: int | None = None) -> np.ndarray:
@@ -129,12 +134,13 @@ def block_vandermonde(nodes, d: int | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class SolventChain:
-    """Recursive factorization data for the fundamental polynomial of one node.
+class SolventChains:
+    """Recursive factorization data for the fundamental polynomials of all d nodes.
 
-    Nodes are permuted so the pivot node ``k`` sits at position 0, followed
-    by the remaining nodes in their original order. Working backwards from
-    the last position, node ``B_i`` absorbs the companions of the later
+    Chain ``k`` permutes the nodes so the pivot node ``k`` sits at position
+    0, followed by the remaining nodes in their original order;
+    ``order[i, k]`` is the node at position i of chain k. Working backwards
+    from the last position, node ``B_i`` absorbs the companions of the later
     positions into its difference product, starting from ``S = I``:
 
         S <- B_i @ S - S @ b_hats[j]    for j descending from d-1 to i+1,
@@ -143,36 +149,27 @@ class SolventChain:
     (Absorbing in ascending order is *not* equivalent for b > 1 and breaks
     the interpolation property; the descending order is the one consistent
     with peeling degree-one factors off the highest position first, and the
-    test suite checks it against a block Vandermonde solve.) The fully absorbed
-    product ``s_full[i]`` must be nonsingular; it conjugates the node into
-    its companion ``b_hats[i] = conjugate(Omega_i @ s_full[i], lambdas[i])``.
+    test suite checks it against a block Vandermonde solve.) The fully
+    absorbed product ``S`` must be nonsingular; it conjugates the node into
+    its companion ``b_hats[i] = conjugate(Omega_i @ S, lambdas[i])``. Arrays
+    are indexed (position, chain): ``lambdas`` is (d, d, b), ``b_hats`` is
+    (d, d, b, b), and ``s_head_inv``, the inverse of each chain's position-0
+    product, is (d, b, b).
     """
 
-    nodes: NodeSet
-    k: int
-    order: tuple
-    lambdas: tuple
-    b_hats: tuple
-    s_full: tuple
+    order: np.ndarray
+    lambdas: np.ndarray
+    b_hats: np.ndarray
     s_head_inv: np.ndarray
 
-    @property
-    def b(self) -> int:
-        return self.nodes.b
 
-    @property
-    def d(self) -> int:
-        return self.nodes.d
-
-
-def solvent_chain(nodes: NodeSet) -> tuple:
+def solvent_chain(nodes: NodeSet) -> SolventChains:
     """Build the chain factorizations of all d nodes in one stacked pass.
 
-    Entry ``k`` of the returned tuple is the :class:`SolventChain` of node
-    ``k``. The recurrence runs level by level, from position d-2 down to 0,
-    over a (d, b, b) stack that holds each chain's node at that position;
-    every stacked product, gate, conjugation and solve treats each chain
-    alone, so entry ``k`` is bit for bit the chain a per-node loop gives.
+    The recurrence runs level by level, from position d-2 down to 0, over a
+    (d, b, b) stack that holds each chain's node at that position; every
+    stacked product, gate, conjugation and solve treats each chain alone,
+    so chain ``k`` is bit for bit the chain a per-node loop gives.
     Position d-1 absorbs nothing, so its product is ``I`` and its companion
     is the node itself, already conjugated and gated in ``nodes.bs``.
     Raises :class:`ChainBreakdownError` at the first level, counting down,
@@ -182,101 +179,91 @@ def solvent_chain(nodes: NodeSet) -> tuple:
     resample.
     """
     d, b = nodes.d, nodes.b
-    orders = [(k, *range(k), *range(k + 1, d)) for k in range(d)]
-    idx = np.array(orders).T  # idx[i, k]: node at position i of chain k
-    lams, oms, bs = np.stack(nodes.lambdas), np.stack(nodes.omegas), np.stack(nodes.bs)
-    eye = np.eye(b)
-    b_hats: list = [None] * (d - 1) + [bs[idx[d - 1]]]
-    s_full: list = [None] * (d - 1) + [np.broadcast_to(eye, bs.shape)]
+    order = np.array([(k, *range(k), *range(k + 1, d)) for k in range(d)]).T
+    ident = np.broadcast_to(np.eye(b), (d, b, b))
+    b_hats = np.empty((d, d, b, b))
+    b_hats[d - 1] = nodes.bs[order[d - 1]]
+    acc = ident
     for i in range(d - 2, -1, -1):
-        b_i = bs[idx[i]]
-        acc = np.broadcast_to(eye, b_i.shape)
+        b_i, acc = nodes.bs[order[i]], ident
         for j in range(d - 1, i, -1):
             acc = b_i @ acc - acc @ b_hats[j]
-        s_full[i] = acc
         try:
             gated_svals(acc, 1e-12)
-            b_hats[i] = conjugate(oms[idx[i]] @ acc, lams[idx[i]])
+            b_hats[i] = conjugate(nodes.omegas[order[i]] @ acc, nodes.lambdas[order[i]])
         except SingularMatrixError as exc:
             raise ChainBreakdownError(i) from exc
-    # s_full[0] is I (d = 1) or passed the 1e-12 gate above, so the inversion needs no
-    # second one
-    s_head_inv = np.linalg.solve(s_full[0], np.broadcast_to(eye, s_full[0].shape))
-    return tuple(
-        SolventChain(
-            nodes=nodes,
-            k=k,
-            order=order,
-            lambdas=tuple(lams[idx[:, k]]),
-            b_hats=tuple(bh[k] for bh in b_hats),
-            s_full=tuple(sf[k] for sf in s_full),
-            s_head_inv=s_head_inv[k],
-        )
-        for k, order in enumerate(orders)
-    )
+    # the position-0 product is I (d = 1) or passed the 1e-12 gate above, so the
+    # inversion needs no second one
+    s_head_inv = np.linalg.solve(acc, ident)
+    return SolventChains(order, nodes.lambdas[order], b_hats, s_head_inv)
 
 
-def fundamental_via_chain(chain: SolventChain, lam) -> np.ndarray:
-    """Evaluate the chain form of the fundamental polynomial at scalars.
+def fundamental_via_chain(chains: SolventChains, lam) -> np.ndarray:
+    """Evaluate the chain form of every node's fundamental polynomial at scalars.
 
-    A scalar ``lam`` gives one b-by-b value; a 1-D array of G points gives a
-    (G, b, b) stack. The factors ``(lam I - b_hats[i])`` multiply
-    left-to-right from the last position down to position 1, then the
-    inverse head product is applied. Each factor is one GEMM over all
-    points, ``lam * acc - acc @ b_hats[i]`` with ``acc`` flattened to
-    (G*b, b) rows, and a scalar call runs the same code on one point, so
-    every point of a stack equals the scalar call bit for bit.
+    A scalar ``lam`` gives a (d, b, b) stack, one value per chain; a 1-D
+    array of G points gives a (d, G, b, b) grid. The factors
+    ``(lam I - b_hats[i])`` multiply left-to-right from the last position
+    down to position 1, then the inverse head product is applied. Each
+    factor, and the head product, is one GEMM over all points,
+    ``lam * acc - acc @ b_hats[i]`` with ``acc`` flattened to (G*b, b)
+    rows, and a scalar call runs the same code on one point, so every point
+    of a grid equals the scalar call bit for bit. The chains run one at a
+    time into one preallocated grid: a whole-grid factor would need
+    temporaries d times larger, past the size at which the allocator maps
+    fresh pages for each one.
     """
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim > 1:
         raise ValueError(f"lam must be a scalar or a 1-D array, got shape {lam.shape}")
-    b, lam = chain.b, lam[..., None, None]
-    if chain.d == 1:
-        return np.broadcast_to(chain.s_head_inv, lam.shape[:-2] + (b, b))
-    acc = lam * np.eye(b) - chain.b_hats[chain.d - 1]
-    for i in range(chain.d - 2, 0, -1):
-        acc = lam * acc - (acc.reshape(-1, b) @ chain.b_hats[i]).reshape(acc.shape)
-    return acc @ chain.s_head_inv
+    heads = chains.s_head_inv
+    d, b = heads.shape[:2]
+    out = np.empty((d,) + lam.shape + (b, b))
+    if d == 1:
+        out[0] = heads[0]
+        return out
+    lam, eye = lam[..., None, None], np.eye(b)
+    for k in range(d):
+        acc = lam * eye - chains.b_hats[d - 1, k]
+        for i in range(d - 2, 0, -1):
+            acc = lam * acc - (acc.reshape(-1, b) @ chains.b_hats[i, k]).reshape(acc.shape)
+        np.matmul(acc.reshape(-1, b), heads[k], out=out[k].reshape(-1, b))
+    return out
 
 
-def chi_quantities(nodes: NodeSet, chains, interval) -> tuple[float, float]:
+def chi_quantities(nodes: NodeSet, chains: SolventChains, interval) -> tuple[float, float]:
     """Scaling-invariant growth factors of the chain factorizations.
 
     ``chi_mono`` compares companion matrices against their diagonal spectra
     at both interval endpoints; ``chi_coef`` measures the inverse head
     products, normalized by the pivot node's closest eigenvalue gap and the
-    chain length. Both are maxima over all supplied chains.
+    chain length. Both are maxima over all chains.
     """
     lo, hi = float(interval[0]), float(interval[1])
     if not lo <= hi:
         raise ValueError("interval endpoints out of order")
-    d = nodes.d
+    d, b = nodes.d, nodes.b
     if d < 2:
         raise ValueError("chi quantities need at least two nodes")
-    if len(chains) != d:
+    if chains.s_head_inv.shape[0] != d:
         raise ValueError("need one chain per node")
-    for lam in nodes.lambdas:
-        if lam.min() < lo or lam.max() > hi:
-            raise ValueError("node spectra must lie inside the interval")
-    eye = np.eye(nodes.b)
-    mats, dens, gaps = [], [], []
-    for chain in chains:
-        # scalars commute, so every companion equals its spectrum and the
-        # endpoint ratios are identically one
-        for i in range(1, d) if nodes.b > 1 else ():
-            for endpoint in (lo, hi):
-                den = float(np.max(np.abs(endpoint - chain.lambdas[i])))
-                if den == 0.0:
-                    raise DegenerateEndpointError(
-                        f"endpoint {endpoint} equals the full spectrum of a node"
-                    )
-                mats.append(endpoint * eye - chain.b_hats[i])
-                dens.append(den)
-        gaps.append(min_separation((chain.lambdas[0], np.concatenate(chain.lambdas[1:]))))
+    if nodes.lambdas.min() < lo or nodes.lambdas.max() > hi:
+        raise ValueError("node spectra must lie inside the interval")
+    # (endpoint, position 1..d-1, chain) stacks. Scalars commute, so at b = 1
+    # every companion equals its spectrum and the endpoint ratios are
+    # identically one: the stacks stay empty.
+    ends = np.array([lo, hi] if b > 1 else [])[:, None, None, None]
+    dens = np.abs(ends - chains.lambdas[1:]).max(axis=-1)
+    if (dens == 0.0).any():
+        endpoint = ends.ravel()[np.nonzero(dens == 0.0)[0][0]]
+        raise DegenerateEndpointError(f"endpoint {endpoint} equals the full spectrum of a node")
+    mats = ends[..., None] * np.eye(b) - chains.b_hats[1:]
     # one stacked norm: the endpoint companions first, then the inverse heads
-    norms = spectral_norm(np.stack(mats + [chain.s_head_inv for chain in chains])).tolist()
-    chi_mono = max([1.0] + [num / den for num, den in zip(norms, dens)])
+    norms = spectral_norm(np.concatenate([mats.reshape(-1, b, b), chains.s_head_inv]))
+    chi_mono = max([1.0] + (norms[: dens.size] / dens.ravel()).tolist())
     chi_coef = max(
-        head ** (1.0 / (d - 1)) * gap for head, gap in zip(norms[len(dens):], gaps)
+        head ** (1.0 / (d - 1)) * gap
+        for head, gap in zip(norms[dens.size:].tolist(), separations(nodes.lambdas).tolist())
     )
     return chi_mono, chi_coef

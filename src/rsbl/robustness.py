@@ -30,6 +30,7 @@ from .linalg import (
 from .matpoly import (
     ChainBreakdownError,
     NodeSet,
+    SolventChains,
     block_vandermonde,
     chi_quantities,
     conjugate,
@@ -195,7 +196,7 @@ def tan_angle_vandermonde(spec: ClusterSpec, omega) -> float:
     tangent is ``||K_perp @ inv(K)||``.
     """
     blocks = spec.omega_blocks(omega)
-    nodes = NodeSet(spec.lambda_blocks, tuple(blocks[: spec.d]))
+    nodes = NodeSet(spec.lambda_blocks, blocks[: spec.d])
     return _vandermonde_route(spec, blocks, nodes)[0]
 
 
@@ -242,15 +243,15 @@ def outside_grid(spec: ClusterSpec, grid_size: int = 1000) -> np.ndarray:
     return cand[(cand < lo) | (cand > hi)]
 
 
-def growth_Gd(spec: ClusterSpec, chains, grid_size: int = 1000) -> float:
+def growth_Gd(spec: ClusterSpec, chains: SolventChains, grid_size: int = 1000) -> float:
     """Largest fundamental-polynomial norm over the out-of-cluster sample set.
 
-    One ``(d, G, b, b)`` stack; only points whose Frobenius norm can reach it get an SVD.
+    One ``(d, G, b, b)`` grid; only points whose Frobenius norm can reach it get an SVD.
     """
     samples = outside_grid(spec, grid_size)
     if samples.size == 0:
         raise ValueError("no sample points outside the cluster interval")
-    return max_spectral_norm(np.stack([fundamental_via_chain(chain, samples) for chain in chains]))
+    return max_spectral_norm(fundamental_via_chain(chains, samples))
 
 
 @dataclass(frozen=True)
@@ -300,7 +301,7 @@ def structural_bound_trial(
         try:
             blocks = spec.omega_blocks(omega)
             c_om = c_omega(spec, omega)
-            nodes = NodeSet(spec.lambda_blocks, tuple(blocks[: spec.d]))
+            nodes = NodeSet(spec.lambda_blocks, blocks[: spec.d])
             chains = solvent_chain(nodes)
             tan_van, k_mat = _vandermonde_route(spec, blocks, nodes)
         except _RESAMPLE_ERRORS as exc:

@@ -6,8 +6,9 @@ instead of chain factorizations, dense decompositions instead of iterative
 ones. The package computes the fundamental polynomials only through the
 chain of solvents; the brute-force block Vandermonde solve
 (:func:`fundamental_via_solve`, with the :class:`MatrixPolynomial` it
-returns), the growth-inequality check and the Chebyshev depth reference
-live here as the oracles that check it. So do the test-only helpers the
+returns), the one-node-at-a-time chain recurrence, the growth-inequality
+check and the Chebyshev depth reference live here as the oracles that
+check it. So do the test-only helpers the
 package itself never calls (the symmetric eigensolver, the dense operator
 and the operator symmetry spot-check).
 """
@@ -26,8 +27,10 @@ from rsbl.matpoly import (
     NodeSet,
     block_vandermonde,
     chi_quantities,
+    conjugate,
     fundamental_via_chain,
     min_separation,
+    solvent_chain,
 )
 from rsbl.robustness import ClusterSpec, _tangent_from_basis
 
@@ -208,8 +211,90 @@ def fundamental_via_solve(nodes: NodeSet, k: int) -> MatrixPolynomial:
 
 def spectrum_bounds(nodes: NodeSet) -> tuple[float, float]:
     """Smallest and largest eigenvalue over all node spectra."""
-    allv = np.concatenate(nodes.lambdas)
-    return float(allv.min()), float(allv.max())
+    return float(nodes.lambdas.min()), float(nodes.lambdas.max())
+
+
+@dataclass(frozen=True)
+class ChainView:
+    """One chain, indexed by position: ``b_hats[i]`` is the companion at position i.
+
+    ``s_full`` holds the fully absorbed difference products; only the
+    recurrence oracle forms them.
+    """
+
+    order: tuple
+    lambdas: np.ndarray
+    b_hats: np.ndarray
+    s_head_inv: np.ndarray
+    s_full: tuple = ()
+
+
+def chain_view(chains, k: int) -> ChainView:
+    """Chain ``k`` of a stacked :func:`solvent_chain` record."""
+    return ChainView(
+        order=tuple(chains.order[:, k].tolist()),
+        lambdas=chains.lambdas[:, k],
+        b_hats=chains.b_hats[:, k],
+        s_head_inv=chains.s_head_inv[k],
+    )
+
+
+def chain_by_recurrence(nodes: NodeSet, k: int) -> ChainView:
+    """Chain ``k`` built one node and one absorbed companion at a time.
+
+    The reference for the stacked pass: pivot ``k`` first, then the other
+    nodes in order; from the last position down, ``S <- B_i S - S b_hats[j]``
+    for j descending, and ``b_hats[i] = conjugate(Omega_i S, lam_i)``.
+    """
+    d, b = nodes.d, nodes.b
+    order = (k, *range(k), *range(k + 1, d))
+    b_hats, s_full = [None] * d, [None] * d
+    for i in range(d - 1, -1, -1):
+        node = order[i]
+        acc = np.eye(b)
+        for j in range(d - 1, i, -1):
+            acc = nodes.bs[node] @ acc - acc @ b_hats[j]
+        s_full[i] = acc
+        b_hats[i] = conjugate(nodes.omegas[node] @ acc, nodes.lambdas[node])
+    return ChainView(
+        order=order,
+        lambdas=nodes.lambdas[list(order)],
+        b_hats=np.stack(b_hats),
+        s_head_inv=np.linalg.solve(s_full[0], np.eye(b)),
+        s_full=tuple(s_full),
+    )
+
+
+def fundamental_by_recurrence(chain: ChainView, lam: float) -> np.ndarray:
+    """``F_k(lam)`` of one chain at one scalar: one b x b product per factor."""
+    acc = np.eye(chain.s_head_inv.shape[0])
+    for i in range(len(chain.b_hats) - 1, 0, -1):
+        acc = lam * acc - acc @ chain.b_hats[i]
+    return acc @ chain.s_head_inv
+
+
+def assert_chains_match_recurrence(grid_size: int = 1001):
+    """Stacked chains and grids equal the per-chain recurrence bit for bit, b 1..3, d 1..4.
+
+    Run it under each BLAS thread count in a fresh process: OpenBLAS reads
+    its thread count at load time, and a threaded GEMM splits its rows.
+    """
+    rng = np.random.default_rng(2024)
+    lams = np.linspace(-3.0, 5.0, grid_size)
+    for b in (1, 2, 3):
+        for d in (1, 2, 3, 4):
+            nodes = random_nodeset(rng, b, d)
+            chains = solvent_chain(nodes)
+            grid = fundamental_via_chain(chains, lams)
+            assert grid.shape == (d, grid_size, b, b)
+            for k in range(d):
+                ref = chain_by_recurrence(nodes, k)
+                assert tuple(chains.order[:, k].tolist()) == ref.order
+                assert np.array_equal(chains.lambdas[:, k], ref.lambdas)
+                assert np.array_equal(chains.b_hats[:, k], ref.b_hats), (b, d, k)
+                assert np.array_equal(chains.s_head_inv[k], ref.s_head_inv), (b, d, k)
+                for lam, got in zip(lams.tolist(), grid[k]):
+                    assert np.array_equal(got, fundamental_by_recurrence(ref, lam)), (b, d, k, lam)
 
 
 @dataclass(frozen=True)
@@ -222,7 +307,7 @@ class GrowthSample:
     holds: bool
 
 
-def growth_bound_check(chains, interval, lam_samples, rel_tol: float = 1e-10):
+def growth_bound_check(nodes: NodeSet, chains, interval, lam_samples, rel_tol: float = 1e-10):
     """Check the fundamental-polynomial growth inequality outside the interval.
 
     For each sample point the left side is ``max_k ||F_k(lam)||^(1/(d-1))``
@@ -230,9 +315,6 @@ def growth_bound_check(chains, interval, lam_samples, rel_tol: float = 1e-10):
     node gap, times ``chi_mono * chi_coef``. Returns the per-sample records;
     any violation is flagged on the record.
     """
-    if not chains:
-        raise ValueError("need at least one chain")
-    nodes = chains[0].nodes
     d = nodes.d
     lo, hi = float(interval[0]), float(interval[1])
     chi_mono, chi_coef = chi_quantities(nodes, chains, interval)
@@ -241,7 +323,7 @@ def growth_bound_check(chains, interval, lam_samples, rel_tol: float = 1e-10):
     inside = (lo <= lams) & (lams <= hi)
     if inside.any():
         raise ValueError(f"sample {float(lams[inside][0])} lies inside the interval")
-    norms = spectral_norm(np.stack([fundamental_via_chain(c, lams) for c in chains])).max(axis=0)
+    norms = spectral_norm(fundamental_via_chain(chains, lams)).max(axis=0)
     out = []
     for lam, norm in zip(lams.tolist(), norms.tolist()):
         lhs = norm ** (1.0 / (d - 1))
@@ -293,11 +375,10 @@ def random_polynomial(rng, b: int, degree: int) -> MatrixPolynomial:
 def fundamental_norms_loop(chains, lams) -> np.ndarray:
     """Per-point reference for the batched norm grid, as a (chains, points) array.
 
-    One scalar chain evaluation and one spectral norm per (chain, point).
+    One scalar evaluation of all chains per point, one spectral norm per (chain, point).
     """
-    return np.array(
-        [[spectral_norm(fundamental_via_chain(chain, float(lam))) for lam in lams] for chain in chains]
-    )
+    values = [fundamental_via_chain(chains, float(lam)) for lam in lams]
+    return np.array([[spectral_norm(v[k]) for v in values] for k in range(len(chains.order))])
 
 
 def random_cluster_spec(rng, b: int, d: int, m: int = 16):

@@ -223,6 +223,23 @@ def test_cli_bound_verify_small(tmp_path):
     assert "holds_rate,1.0" in text
 
 
+def test_cli_bound_verify_leaves_numpy_ma_unimported(tmp_path):
+    # np.median imports numpy.ma on first use, about 10 ms of every run; a
+    # fresh process, because any earlier test may have imported it already
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = (
+        "import sys, rsbl.cli\n"
+        "assert rsbl.cli.main(['bound-verify', '--trials', '2', '--out', sys.argv[1]]) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 def test_cli_lowrank(tmp_path):
     code = main(["lowrank", "--out", str(tmp_path)])
     assert code == 0

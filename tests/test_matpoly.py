@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +10,8 @@ from helpers import (
     MatrixPolynomial,
     SingularVandermondeError,
     block_vandermonde_loop,
+    chain_by_recurrence,
+    chain_view,
     eigenhull_bound_pair,
     eval_lambda,
     eval_matrix,
@@ -21,6 +28,7 @@ from rsbl.linalg import SingularMatrixError
 from rsbl.matpoly import (
     ChainBreakdownError,
     DegenerateEndpointError,
+    DimensionMismatchError,
     NodeSet,
     block_vandermonde,
     chi_quantities,
@@ -130,8 +138,23 @@ def test_block_vandermonde_trivial_cases():
 
 
 def test_nodeset_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="share an eigenvalue"):
         NodeSet((np.array([1.0]), np.array([1.0])), (np.eye(1), np.eye(1)))
+    lams = (np.array([0.0, 0.5]), np.array([1.0, 1.5]))
+    with pytest.raises(DimensionMismatchError):
+        NodeSet((np.array([0.0, 0.5]), np.array([1.0])), (np.eye(2), np.eye(2)))
+    with pytest.raises(DimensionMismatchError):
+        NodeSet(lams, (np.eye(2), np.eye(3)))
+    with pytest.raises(DimensionMismatchError):
+        NodeSet(lams, (np.eye(2), np.ones((2, 3))))
+    with pytest.raises(ValueError, match="non-finite"):
+        NodeSet((np.array([0.0, np.nan]), np.array([1.0, 1.5])), (np.eye(2), np.eye(2)))
+    with pytest.raises(ValueError, match="nonempty"):
+        NodeSet((), ())
+    with pytest.raises(ValueError, match="matching"):
+        NodeSet(lams, (np.eye(2),))
+    nodes = NodeSet(lams, np.stack([np.eye(2), 2.0 * np.eye(2)]))
+    assert nodes.lambdas.shape == (2, 2) and nodes.omegas.shape == nodes.bs.shape == (2, 2, 2)
 
 
 def test_fundamental_via_solve_single_node():
@@ -179,12 +202,12 @@ def test_fundamental_kronecker_property():
 def test_chain_d2_closed_form():
     rng = np.random.default_rng(4)
     nodes = random_nodeset(rng, 2, 2)
-    chain = solvent_chain(nodes)[0]
+    chains = solvent_chain(nodes)
     b1, b2 = nodes.bs
-    assert np.allclose(chain.s_full[0], b1 - b2)
+    assert np.allclose(chain_by_recurrence(nodes, 0).s_full[0], b1 - b2)
     lam = 0.37
     expected = (lam * np.eye(2) - b2) @ np.linalg.inv(b1 - b2)
-    assert np.allclose(fundamental_via_chain(chain, lam), expected, atol=1e-10)
+    assert np.allclose(fundamental_via_chain(chains, lam)[0], expected, atol=1e-10)
 
 
 @pytest.mark.parametrize("b", [1, 2, 3])
@@ -193,14 +216,28 @@ def test_chain_grid_matches_scalar_calls(b, d):
     rng = np.random.default_rng(100 + 10 * b + d)
     nodes = random_nodeset(rng, b, d)
     lams = np.linspace(-2.0, 4.0, 37)
-    for chain in solvent_chain(nodes):
-        stack = fundamental_via_chain(chain, lams)
-        assert stack.shape == (lams.size, b, b)
-        for lam, got in zip(lams, stack):
-            expected = fundamental_via_chain(chain, float(lam))
+    chains = solvent_chain(nodes)
+    grid = fundamental_via_chain(chains, lams)
+    assert grid.shape == (d, lams.size, b, b)
+    for k in range(d):
+        for lam, got in zip(lams, grid[k]):
+            expected = fundamental_via_chain(chains, float(lam))[k]
             np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
     with pytest.raises(ValueError):
-        fundamental_via_chain(chain, lams.reshape(1, -1))
+        fundamental_via_chain(chains, lams.reshape(1, -1))
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_stacked_chains_match_the_per_node_recurrence(threads):
+    # fresh processes, because OpenBLAS reads its thread count at load time
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import helpers; helpers.assert_chains_match_recurrence()"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_nodeset_eigenvector_gate_is_inclusive():
@@ -222,10 +259,11 @@ def test_chain_breakdown_on_singular_difference():
 def test_chain_identity_eigenvectors_stays_diagonal():
     lams = (np.array([0.0, 0.5]), np.array([1.0, 1.5]), np.array([2.0, 2.5]))
     nodes = NodeSet(lams, (np.eye(2), np.eye(2), np.eye(2)))
-    chain = solvent_chain(nodes)[0]
+    chain = chain_view(solvent_chain(nodes), 0)
+    s_full = chain_by_recurrence(nodes, 0).s_full
     for i in range(3):
         assert np.allclose(chain.b_hats[i], np.diag(chain.lambdas[i]))
-        assert np.allclose(chain.s_full[i], np.diag(np.diag(chain.s_full[i])))
+        assert np.allclose(s_full[i], np.diag(np.diag(s_full[i])))
 
 
 def test_chain_matches_scalar_lagrange():
@@ -235,9 +273,10 @@ def test_chain_matches_scalar_lagrange():
         tuple(np.array([v]) for v in vals),
         tuple(rng.standard_normal((1, 1)) for _ in vals),
     )
-    for k, chain in enumerate(solvent_chain(nodes)):
+    chains = solvent_chain(nodes)
+    for k in range(len(vals)):
         for lam in rng.uniform(-1.0, 3.0, 5):
-            got = fundamental_via_chain(chain, lam)[0, 0]
+            got = fundamental_via_chain(chains, lam)[k, 0, 0]
             assert got == pytest.approx(lagrange_scalar(vals, k, lam), abs=1e-12)
 
 
@@ -246,25 +285,25 @@ def test_chain_stored_recurrence_and_permutation():
     rng = np.random.default_rng(6)
     nodes = random_nodeset(rng, 2, 4)
     chains = solvent_chain(nodes)
-    assert [chain.order for chain in chains] == [
-        (0, 1, 2, 3), (1, 0, 2, 3), (2, 0, 1, 3), (3, 0, 1, 2)
+    assert chains.order.T.tolist() == [
+        [0, 1, 2, 3], [1, 0, 2, 3], [2, 0, 1, 3], [3, 0, 1, 2]
     ]
     d = nodes.d
-    for k, chain in enumerate(chains):
-        assert chain.k == k
+    for k in range(d):
+        chain, s_full = chain_view(chains, k), chain_by_recurrence(nodes, k).s_full
         for i in range(d):
             acc = np.eye(2)
             node = chain.order[i]
             for j in range(d - 1, i, -1):
                 acc = nodes.bs[node] @ acc - acc @ chain.b_hats[j]
-            assert np.array_equal(chain.s_full[i], acc)
+            assert np.array_equal(s_full[i], acc)
             assert np.array_equal(chain.lambdas[i], nodes.lambdas[node])
             expect = conjugate(nodes.omegas[node] @ acc, nodes.lambdas[node])
             assert np.array_equal(chain.b_hats[i], expect)
         # position d-1 absorbs nothing: its companion is the node set's node, bit for bit
         assert np.array_equal(chain.b_hats[d - 1], nodes.bs[chain.order[d - 1]])
-        assert np.array_equal(chain.s_full[d - 1], np.eye(2))
-        assert np.array_equal(chain.s_head_inv, np.linalg.solve(chain.s_full[0], np.eye(2)))
+        assert np.array_equal(s_full[d - 1], np.eye(2))
+        assert np.array_equal(chain.s_head_inv, np.linalg.solve(s_full[0], np.eye(2)))
 
 
 def test_stacked_chain_breaks_down_at_the_first_level_any_chain_trips():
@@ -290,11 +329,11 @@ def test_chain_agrees_with_solve_oracle():
         nodes = random_nodeset(rng, b, d)
         cond = np.linalg.cond(block_vandermonde(nodes))
         k = int(rng.integers(0, d))
-        chain = solvent_chain(nodes)[k]
+        chains = solvent_chain(nodes)
         f = fundamental_via_solve(nodes, k)
         for lam in rng.uniform(-0.5, d * 0.5, 6):
             ref = eval_lambda(f, lam)
-            got = fundamental_via_chain(chain, lam)
+            got = fundamental_via_chain(chains, lam)[k]
             scale = max(1.0, np.linalg.norm(ref, 2))
             assert np.linalg.norm(got - ref, 2) <= 1e-8 * cond * scale
 
@@ -302,8 +341,8 @@ def test_chain_agrees_with_solve_oracle():
 def test_chain_single_node_is_identity():
     rng = np.random.default_rng(8)
     nodes = random_nodeset(rng, 3, 1)
-    chain = solvent_chain(nodes)[0]
-    assert np.allclose(fundamental_via_chain(chain, -2.3), np.eye(3))
+    chains = solvent_chain(nodes)
+    assert np.allclose(fundamental_via_chain(chains, -2.3)[0], np.eye(3))
 
 
 def test_interpolation_identity():
@@ -319,7 +358,7 @@ def test_interpolation_identity():
             expect = eval_lambda(phi, lam)
             got = np.zeros((b, b))
             for k in range(d):
-                got += fundamental_via_chain(chains[k], lam) @ eval_matrix(phi, nodes.bs[k])
+                got += fundamental_via_chain(chains, lam)[k] @ eval_matrix(phi, nodes.bs[k])
             scale = max(1.0, np.linalg.norm(expect, 2))
             assert np.linalg.norm(got - expect, 2) <= 1e-8 * cond * scale
 
@@ -377,7 +416,7 @@ def test_growth_bound_check_holds():
         chains = solvent_chain(nodes)
         lo, hi = spectrum_bounds(nodes)
         samples = np.concatenate([lo - rng.uniform(0.05, 2.0, 10), hi + rng.uniform(0.05, 2.0, 10)])
-        records = growth_bound_check(chains, (lo, hi), samples)
+        records = growth_bound_check(nodes, chains, (lo, hi), samples)
         assert all(r.holds for r in records)
 
 
@@ -388,13 +427,13 @@ def test_growth_bound_check_matches_pointwise_loop():
         chains = solvent_chain(nodes)
         lo, hi = spectrum_bounds(nodes)
         samples = np.concatenate([lo - rng.uniform(0.05, 2.0, 15), hi + rng.uniform(0.05, 2.0, 15)])
-        records = growth_bound_check(chains, (lo, hi), samples)
+        records = growth_bound_check(nodes, chains, (lo, hi), samples)
         norms = fundamental_norms_loop(chains, samples)
         assert [r.lam for r in records] == samples.tolist()
         assert [r.lhs for r in records] == [max(col) ** (1.0 / (d - 1)) for col in norms.T.tolist()]
-        assert growth_bound_check(chains, (lo, hi), []) == []
+        assert growth_bound_check(nodes, chains, (lo, hi), []) == []
         with pytest.raises(ValueError, match="inside the interval"):
-            growth_bound_check(chains, (lo, hi), [lo - 1.0, 0.5 * (lo + hi)])
+            growth_bound_check(nodes, chains, (lo, hi), [lo - 1.0, 0.5 * (lo + hi)])
 
 
 def test_growth_bound_scalar_matches_lagrange():
@@ -405,7 +444,7 @@ def test_growth_bound_scalar_matches_lagrange():
         tuple(rng.standard_normal((1, 1)) for _ in vals),
     )
     chains = solvent_chain(nodes)
-    records = growth_bound_check(chains, (0.0, 0.8), [1.5, -0.7])
+    records = growth_bound_check(nodes, chains, (0.0, 0.8), [1.5, -0.7])
     for rec in records:
         expect = max(abs(lagrange_scalar(vals, k, rec.lam)) for k in range(3)) ** 0.5
         assert rec.lhs == pytest.approx(expect, rel=1e-10)

@@ -372,10 +372,10 @@ def test_growth_gd_rejects_non_finite_values():
     spec = make_spec(rng, 2, 2, m=8)
     omega = gaussian_matrix(spec.n, 2, RngStream(23))
     nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(omega)[:2]))
-    chains = list(solvent_chain(nodes))
-    bad = chains[1].s_head_inv.copy()
-    bad[0, 1] = np.nan
-    chains[1] = dataclasses.replace(chains[1], s_head_inv=bad)
+    chains = solvent_chain(nodes)
+    bad = chains.s_head_inv.copy()
+    bad[1, 0, 1] = np.nan
+    chains = dataclasses.replace(chains, s_head_inv=bad)
     # match the gate's message: a bare SVD of NaN input raises LinAlgError, a ValueError too
     with pytest.raises(ValueError, match="NaN or Inf"):
         growth_Gd(spec, chains)

@@ -1,16 +1,23 @@
 """The package surface the benchmark harness in ``perfbench/`` relies on.
 
-The traced benchmark wraps each function it names by module attribute,
+The benchmark times each workload's trial at one module attribute. The
+traced benchmark wraps each function it names by module attribute,
 patches three methods to count matvecs, block steps and Ritz checks, and
 counts breakdowns through ``rsbl.BreakdownError``; a rename or removal
 there would break the benchmark (or silently zero its counters) without
 failing any other test.
 """
+import dataclasses
+import importlib
+
 import numpy as np
+import pytest
 
 import rsbl
 import rsbl.cli
 import rsbl.lanczos
+import rsbl.robustness
+from rsbl.experiments import bound_verify_spec
 from rsbl.linalg import RngStream, gaussian_matrix
 
 from helpers import import_perfbench
@@ -45,3 +52,56 @@ def test_counted_methods_drive_the_counters(monkeypatch):
 
 def test_breakdown_error_exported():
     assert issubclass(rsbl.BreakdownError, Exception)
+
+
+# Per workload: config keys that shrink its pinned config, and the trials one
+# run makes per --trials unit (table1 cells; cluster-robustness sweep points of
+# one variant, 48 beta and 30 alpha; bound-verify (b, d) pairs).
+TINY_WORKLOADS = {
+    "table1": ({"n": 200, "b_list": "1, 2", "beta_list": "1.0"}, 2),
+    "tangent-sweep": ({"n": 120}, 48 + 30),
+    "bound-verify": ({"b_list": "1, 2", "d_list": "2", "grid_size": 50}, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TINY_WORKLOADS))
+def test_workload_trial_is_called_once_per_trial(name, tmp_path, monkeypatch):
+    # the benchmark times a trial by replacing trial_module.trial_attr, so the
+    # command must call each trial through that attribute, exactly once
+    monkeypatch.delenv("RSBL_OUT", raising=False)
+    keys, per_trial = TINY_WORKLOADS[name]
+    w = import_perfbench("workloads").WORKLOADS[name]
+    w = dataclasses.replace(w, config={**w.config, **keys})
+    home = importlib.import_module(w.trial_module)
+    original, calls = getattr(home, w.trial_attr), []
+
+    def timed(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(home, w.trial_attr, timed)
+    config = tmp_path / "workload.cfg"
+    config.write_text(w.config_text())
+    out = tmp_path / "out"
+    assert rsbl.cli.main(w.argv(str(config), 1, str(out))) == 0
+    assert len(calls) == per_trial * w.trials
+    assert w.check(str(out), w) == []
+
+
+def test_matpoly_spans_called_through_robustness(monkeypatch):
+    # the tracer wraps these where robustness refers to them; one trial calls each once
+    names = ("solvent_chain", "fundamental_via_chain", "chi_quantities", "block_vandermonde")
+    calls = dict.fromkeys(names, 0)
+    for attr in names:
+        original = getattr(rsbl.matpoly, attr)
+        assert getattr(rsbl.robustness, attr) is original
+
+        def counted(*args, _original=original, _name=attr, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(rsbl.robustness, attr, counted)
+    spec = bound_verify_spec(3, 3, RngStream(7))
+    report = rsbl.robustness.structural_bound_trial(spec, seed=7, grid_size=100)
+    assert report.retries == 0
+    assert calls == dict.fromkeys(names, 1)
