@@ -46,16 +46,16 @@ def write_csv(path: str, header, rows):
             fh.write(",".join(format_number(v) for v in row) + "\n")
 
 
-def fit_loglog(xs, ys, drop_extremes: bool = True) -> tuple[float, float, float]:
+def fit_loglog(xs, ys) -> tuple[float, float, float]:
     """Least-squares slope of ``log2(y)`` against ``log2(x)``.
 
-    The smallest and largest abscissa are dropped by default so saturated
-    endpoints (machine precision, overflow of the measured quantity) do not
-    skew the fit. Returns (slope, intercept, r_squared).
+    From four points on, the smallest and largest abscissa are dropped so
+    saturated endpoints (machine precision, overflow of the measured
+    quantity) do not skew the fit. Returns (slope, intercept, r_squared).
     """
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
-    if drop_extremes and xs.size >= 4:
+    if xs.size >= 4:
         keep = (xs > xs.min()) & (xs < xs.max())
         xs, ys = xs[keep], ys[keep]
     finite = np.isfinite(ys) & (ys > 0)
@@ -245,14 +245,18 @@ def run_cluster_robustness(config: ExperimentConfig) -> RunResult:
     return result
 
 
-def bound_verify_spec(b: int, d: int, trial_rng: RngStream, n_per_block: int = 24) -> ClusterSpec:
+# Operator dimension per unit of block size in a bound-verify trial.
+BOUND_VERIFY_N_PER_BLOCK = 24
+
+
+def bound_verify_spec(b: int, d: int, trial_rng: RngStream) -> ClusterSpec:
     """Random well-separated spec for structural-bound trials.
 
     Cluster block k draws its eigenvalues in ``[1 + 0.3k, 1.15 + 0.3k]``,
     keeping a guaranteed inter-block gap; the out-of-cluster spectrum is
     uniform in [-1, 0].
     """
-    n = n_per_block * b
+    n = BOUND_VERIFY_N_PER_BLOCK * b
     blocks = tuple(
         np.sort(trial_rng.uniform(1.0 + 0.3 * k, 1.15 + 0.3 * k, b)) for k in range(d)
     )

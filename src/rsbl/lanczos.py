@@ -218,9 +218,9 @@ class _Process:
         return np.linalg.eigvalsh(self.tridiagonal())
 
 
-# Widening of a sentinel window beyond ``tol`` on each side: it absorbs the
-# rounding of both the inertia count and ``eigvalsh``, so an empty sentinel
-# means no Ritz value within ``tol`` of its target.
+# Widening of the sentinel's edges beyond ``tol``: it absorbs the rounding
+# of both the inertia count and ``eigvalsh``, so the count of eigenvalues of
+# ``T`` between the edges covers every Ritz value within ``tol`` of a target.
 SENTINEL_MARGIN = 1e-8
 # A pivot with an eigenvalue this close to zero (relative to max(1, ||A_k||)
 # of its diagonal block) cannot be trusted to give the inertia; the sentinel
@@ -229,12 +229,11 @@ PIVOT_RTOL = 1e-10
 
 
 class _Sentinel:
-    """Sylvester inertia of ``T - sI`` at the two edges of one target window.
+    """Sylvester inertia of ``T - sI`` at two edges ``lo < hi``.
 
     The block LDL^T pivots ``D_k(s) = A_k - sI - R_k D_(k-1)(s)^-1 R_k^T``
     are extended one block at a time; the number of negative pivot
-    eigenvalues is the number of eigenvalues of ``T`` below ``s``. Equal
-    counts at both edges mean the window holds no eigenvalue of ``T``.
+    eigenvalues is the number of eigenvalues of ``T`` below ``s``.
     """
 
     def __init__(self, lo: float, hi: float, b: int):
@@ -258,25 +257,9 @@ class _Sentinel:
         self.pivot = d
         return True
 
-    def empty(self) -> bool:
-        return self.negatives[0] == self.negatives[1]
-
-
-def _pick_sentinel(proc: _Process, values, targets, tol: float):
-    """Sentinel on the widened window farthest from any Ritz value, or None if none is empty.
-
-    Ties go to the lowest target index; a pivot tripping the gate also gives None.
-    """
-    gaps = np.abs(values[None, :] - targets[:, None]).min(axis=1)
-    i = int(np.argmax(gaps))
-    width = tol + SENTINEL_MARGIN
-    if not gaps[i] > width:
-        return None
-    sentinel = _Sentinel(targets[i] - width, targets[i] + width, proc.b)
-    for k in range(proc.steps):
-        if not sentinel.extend(proc.alpha[k], proc.beta[k]):
-            return None
-    return sentinel
+    def count(self):
+        """Number of eigenvalues of ``T`` in ``[lo, hi)``."""
+        return self.negatives[1] - self.negatives[0]
 
 
 def _start(op: LinearOperator, omega, steps: int) -> _Process:
@@ -372,20 +355,23 @@ def run_until_converged(
     values, one per sorted target and in the same order.
 
     The comparison (``eigvalsh`` of the whole ``T``, then ``match_targets``)
-    is skipped on steps where it provably fails. After a failed comparison
-    one target window, widened by ``SENTINEL_MARGIN`` on each side, is kept
-    as a sentinel: the empty one whose target lies farthest from any Ritz
-    value. Its two edges carry block LDL^T pivots of ``T - sI``, extended one
-    block per step; while their negative-pivot counts agree, no Ritz value
-    lies within ``tol`` of that target and the step is skipped. A pivot that
-    trips the ``PIVOT_RTOL`` gate drops the sentinel, and steps compare until
-    a new one is built. The returned count and values are those of the
-    every-step comparison.
+    is skipped on steps where it provably fails. One :class:`_Sentinel`,
+    extended one block per step, counts the eigenvalues of ``T`` in the
+    target hull widened by ``w = tol + SENTINEL_MARGIN``, from
+    ``targets[0] - w`` to ``targets[-1] + w``; fewer than ``targets.size``
+    there leave some target unmatched. A pivot that trips the ``PIVOT_RTOL``
+    gate drops the sentinel, and every later step compares. The returned
+    count and values are those of the every-step comparison.
     """
     omega = as_matrix(omega, "Omega")
     targets = np.sort(np.asarray(targets, dtype=np.float64).reshape(-1))
     if targets.size == 0:
         raise ValueError("need at least one target eigenvalue")
+    if not np.isfinite(targets).all():
+        raise ValueError("target eigenvalues must be finite")
+    # written so that NaN fails it too
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     b = omega.shape[1]
     full_budget = b * (op.n // b)
     if max_matvecs is None:
@@ -394,18 +380,17 @@ def run_until_converged(
     if targets.size > max_steps * b:
         raise ValueError("more targets than the subspace budget allows")
     proc = _Process(op, omega, capacity=max_steps)
-    sentinel = None
+    width = tol + SENTINEL_MARGIN
+    sentinel = _Sentinel(targets[0] - width, targets[-1] + width, b)
     for step in range(1, max_steps + 1):
         proc.advance()
-        if step * b < targets.size:
+        k = step - 1
+        if sentinel is not None and not sentinel.extend(proc.alpha[k], proc.beta[k]):
+            sentinel = None
+        if step * b < targets.size or (sentinel is not None and sentinel.count() < targets.size):
             continue
-        if sentinel is not None:
-            k = step - 1
-            if sentinel.extend(proc.alpha[k], proc.beta[k]) and sentinel.empty():
-                continue
         values = proc.ritz_values()
         idx = match_targets(values, targets, tol)
         if idx is not None:
             return step * b, values[idx]
-        sentinel = _pick_sentinel(proc, values, targets, tol)
     raise NoConvergenceError(max_steps * b)

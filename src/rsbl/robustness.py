@@ -277,6 +277,8 @@ _RESAMPLE_ERRORS = (
     SingularKError,
     SingularBlockError,
 )
+# Resamples of a degenerate draw before a structural-bound trial gives up.
+MAX_RETRIES = 8
 
 
 def structural_bound_trial(
@@ -284,18 +286,17 @@ def structural_bound_trial(
     seed: int,
     base_stream: int = 0,
     grid_size: int = 1000,
-    max_retries: int = 8,
 ) -> RobustnessReport:
     """Sample a Gaussian initial block and evaluate the structural bound.
 
     Draws that hit a measure-zero degeneracy (singular partition block,
     chain breakdown, singular Vandermonde) are resampled on fresh stream
-    ids up to ``max_retries`` times; the retry count is recorded.
+    ids up to ``MAX_RETRIES`` times; the retry count is recorded.
     """
     if spec.d >= 2 and not spec.relgap > 0.0:
         raise ValueError("structural bound requires a positive relgap")
     last_exc: Exception | None = None
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         rng = RngStream(seed, stream_id=base_stream + attempt)
         omega = gaussian_matrix(spec.n, spec.b, rng)
         try:
@@ -329,7 +330,7 @@ def structural_bound_trial(
             cond_k=float(np.linalg.cond(k_mat, 1)),
             retries=attempt,
         )
-    raise RuntimeError(f"persistent degeneracy after {max_retries} retries: {last_exc}")
+    raise RuntimeError(f"persistent degeneracy after {MAX_RETRIES} retries: {last_exc}")
 
 
 @dataclass(frozen=True)
@@ -491,15 +492,17 @@ def sandwich_d2(b1, b2) -> tuple[float, float, float, bool]:
     return lower, middle, upper, holds
 
 
+PROBE_QUANTILES = (0.01, 0.25, 0.5, 0.75, 0.99)
+
+
 def probe_solvent_difference(
     lam_i,
     lam_j,
     trials: int,
     master_seed: int,
     key: str,
-    quantiles=(0.01, 0.25, 0.5, 0.75, 0.99),
 ) -> dict:
-    """Empirical quantiles of the smallest singular value of ``B_i - B_j``.
+    """Empirical ``PROBE_QUANTILES`` of the smallest singular value of ``B_i - B_j``.
 
     Both solvents share deterministic diagonal spectra but carry fresh
     independent Gaussian eigenvector matrices per trial, drawn from the
@@ -521,7 +524,7 @@ def probe_solvent_difference(
         om_i[t] = gaussian_matrix(b, b, rng)
         om_j[t] = gaussian_matrix(b, b, rng)
     samples = smallest_singular(conjugate(om_i, lam_i) - conjugate(om_j, lam_j))
-    return {float(q): float(np.quantile(samples, q)) for q in quantiles}
+    return {float(q): float(np.quantile(samples, q)) for q in PROBE_QUANTILES}
 
 
 @dataclass(frozen=True)

@@ -245,6 +245,26 @@ def test_run_until_converged_budget():
         run_until_converged(op, omega, np.linspace(1.0, 1.0001, 8), tol=1e-14, max_matvecs=9)
 
 
+@pytest.mark.parametrize(
+    "targets, tol",
+    [
+        ([1.0, np.nan], 1e-10),
+        ([1.0, np.inf], 1e-10),
+        ([1.0, 1.2], np.nan),
+        ([1.0, 1.2], np.inf),
+        ([1.0, 1.2], 0.0),
+        ([1.0, 1.2], -1e-10),
+    ],
+    ids=["nan-target", "inf-target", "nan-tol", "inf-tol", "zero-tol", "negative-tol"],
+)
+def test_run_until_converged_rejects_bad_input_before_the_first_step(targets, tol):
+    op = diag_operator(np.linspace(-1.0, 1.2, 40))
+    omega = gaussian_matrix(40, 2, RngStream(18))
+    with pytest.raises(ValueError, match="finite"):
+        run_until_converged(op, omega, targets, tol=tol)
+    assert op.matvec_count == 0
+
+
 def _outcome(run, op, omega, targets, **kwargs):
     try:
         count, values = run(op, omega, targets, **kwargs)
@@ -254,15 +274,19 @@ def _outcome(run, op, omega, targets, **kwargs):
 
 
 def _equivalence_cases():
-    """(operator diagonal, targets, b, seed, keyword arguments): 200 runs in all."""
+    """(operator diagonal, targets, b, seed, keyword arguments): 240 runs in all."""
     n = 90
     for beta in (1.0, 1e-3):
         # seven targets, a count none of b = 2, 3, 4 divides
         lam = np.linspace(1.0, 1.0 + beta, 7)
         values = np.concatenate([lam, np.linspace(-1.0, 0.0, n - 7)])
+        # interior targets: eigenvalues above them too, so the hull's upper edge counts
+        interior = np.concatenate([lam, np.linspace(-1.0, 0.0, n - 27), np.linspace(3.0, 4.0, 20)])
         for b in (1, 2, 3, 4):
             for seed in range(20):
                 yield values, lam, b, seed, {}
+            for seed in range(5):
+                yield interior, lam, b, seed, {}
     # overlapping windows: three targets at 1 against a triple inside tol
     triple = np.concatenate([[1.0 - 4e-11, 1.0, 1.0 + 4e-11], np.linspace(-1.0, 0.0, n - 3)])
     # budget exhaustion: a narrow cluster cannot converge within 12 steps
@@ -308,8 +332,8 @@ def test_run_until_converged_matches_every_step_reference(ritz_checks):
 
 def test_sentinel_gate_trips_on_singular_pivot(ritz_checks):
     # omega = e_1 makes the first diagonal block exactly a[0, 0]; the lower
-    # edge of the first target's window sits on it, so the first pivot
-    # there is exactly zero and must drop the sentinel
+    # hull edge sits on it, so the first pivot there is exactly zero and
+    # the sentinel drops at step 1
     rng = np.random.default_rng(17)
     a = rng.standard_normal((10, 10))
     a = a + a.T
@@ -321,15 +345,38 @@ def test_sentinel_gate_trips_on_singular_pivot(ritz_checks):
     while target - width != a00:
         target = np.nextafter(target, -np.inf if target - width > a00 else np.inf)
     theta = np.linalg.eigvalsh(block_lanczos(dense_operator(a), omega, 2).T)
-    # at step 2 the first window is empty and the second is filled
-    assert np.abs(theta - target).min() > width
     targets = [target, theta[1]]
+    assert target < theta[1]
     expected = _outcome(run_until_converged_reference, dense_operator(a), omega,
                         targets)
     got = _outcome(run_until_converged, dense_operator(a), omega, targets)
     assert got == expected == ("no convergence", 10)
-    # the sentinel built after the step-2 comparison was dropped, so step 3 compares
-    assert ritz_checks[:2] == [2, 3]
+    # step 1 holds fewer Ritz values than targets; every later step compares
+    assert ritz_checks == list(range(2, 11))
+
+
+def test_table1_run_builds_one_sentinel_and_extends_it_once_per_step(monkeypatch):
+    built, extended = [], []
+    init, extend = _Sentinel.__init__, _Sentinel.extend
+
+    def counted_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counted_extend(self, *args):
+        extended.append(self)
+        return extend(self, *args)
+
+    monkeypatch.setattr(_Sentinel, "__init__", counted_init)
+    monkeypatch.setattr(_Sentinel, "extend", counted_extend)
+    b = 4
+    lam, diag = _table1_targets(0.01, 2000)
+    op = diag_operator(diag)
+    omega = gaussian_matrix(2000, b, RngStream(19, b))
+    count, _ = run_until_converged(op, omega, lam, max_matvecs=1024 * b)
+    assert count == op.matvec_count
+    assert len(built) == 1
+    assert extended == built * (count // b)
 
 
 def test_sentinel_window_covers_the_whole_tolerance():
@@ -365,19 +412,22 @@ def _block_tridiagonal(alpha, beta):
     b=st.integers(1, 4),
     k=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
-    shift=st.floats(-6.0, 6.0),
+    edges=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
 )
-def test_sentinel_negative_pivots_count_eigenvalues_below_shift(b, k, seed, shift):
+def test_sentinel_negative_pivots_count_eigenvalues_below_shift(b, k, seed, edges):
+    lo, hi = sorted(edges)
     rng = np.random.default_rng(seed)
     alpha = rng.standard_normal((k, b, b))
     alpha = alpha + alpha.transpose(0, 2, 1)
     beta = rng.standard_normal((k, b, b))
     beta[0] = 0.0
     eig = np.linalg.eigvalsh(_block_tridiagonal(alpha, beta))
-    assume(np.abs(eig - shift).min() >= 1e-6)
-    sentinel = _Sentinel(shift, shift, b)
+    assume(np.abs(eig[:, None] - [lo, hi]).min() >= 1e-6)
+    sentinel = _Sentinel(lo, hi, b)
     if all(sentinel.extend(alpha[j], beta[j]) for j in range(k)):
-        assert sentinel.negatives[0] == np.count_nonzero(eig < shift)
+        assert sentinel.negatives.tolist() == [np.count_nonzero(eig < lo),
+                                                np.count_nonzero(eig < hi)]
+        assert sentinel.count() == np.count_nonzero((lo <= eig) & (eig < hi))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
