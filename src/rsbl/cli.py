@@ -40,39 +40,14 @@ _COMMANDS = {
     "lowrank": run_lowrank,
 }
 
+# each command's values that differ from ExperimentConfig's defaults
 _DEFAULTS = {
-    "table1": dict(
-        experiment="table1",
-        n=2000,
-        b_list=(1, 2, 4, 8, 16, 32),
-        beta_list=(1.0, 0.1, 0.01, 0.001),
-        trials=5,
-    ),
-    "cluster-robustness": dict(
-        experiment="cluster-robustness",
-        n=1000,
-        cluster_dim=60,
-        trials=200,
-        variant="both",
-    ),
-    "bound-verify": dict(
-        experiment="bound-verify",
-        b_list=(1, 2, 3),
-        d_list=(2, 3),
-        trials=20,
-    ),
-    "probe": dict(experiment="probe", b_list=(2,), trials=2000),
-    "sandwich": dict(experiment="sandwich", b_list=(1, 2, 3, 4), trials=1000),
-    "lowrank": dict(
-        experiment="lowrank",
-        nrows=30,
-        n=20,
-        b_list=(2,),
-        d_list=(2,),
-        ell=6,
-        eps=0.1,
-        trials=1,
-    ),
+    "table1": {},
+    "cluster-robustness": dict(n=1000, trials=200),
+    "bound-verify": dict(b_list=(1, 2, 3), trials=20),
+    "probe": dict(b_list=(2,), trials=2000),
+    "sandwich": dict(b_list=(1, 2, 3, 4), trials=1000),
+    "lowrank": dict(n=20, b_list=(2,), d_list=(2,), trials=1),
 }
 
 
@@ -98,12 +73,10 @@ def resolve_config(args) -> ExperimentConfig:
             values.update(ExperimentConfig.values_from_text(fh.read()))
     flags = {"seed": args.seed, "trials": args.trials, "out_dir": args.out or None}
     values.update((key, value) for key, value in flags.items() if value is not None)
-    config = ExperimentConfig(**values)
     if args.full and args.command == "cluster-robustness" and args.trials is None:
-        config.trials = 1000
-    config.experiment = args.command
-    config.validate()
-    return config
+        values["trials"] = 1000
+    values["experiment"] = args.command
+    return ExperimentConfig(**values)
 
 
 def main(argv=None) -> int:

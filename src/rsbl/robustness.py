@@ -129,13 +129,10 @@ class ClusterSpec:
 def tan_angle_krylov(spec: ClusterSpec, omega, steps: int) -> float:
     """Tangent of the largest principal angle via a block Lanczos basis.
 
-    The orthonormal Krylov basis is split into its leading ``b*d`` rows V
-    and the remainder. With ``c`` the smallest singular value of V, the
-    cosine of the largest angle, the tangent is ``sqrt(1 - c^2) / c`` for
-    large angles and the remainder's norm along c's right singular vector,
-    over ``c``, for small ones (``_tangent_from_basis``). Returns ``inf``
-    when ``c < 1e-14``, the correct tangent whenever an in-cluster
-    eigenvalue has multiplicity above b.
+    The orthonormal Krylov basis is split into its leading ``b*d`` rows and
+    the remainder (``_tangent_from_basis``). Returns ``inf`` when the
+    smallest cosine is below ``1e-14``, the correct tangent whenever an
+    in-cluster eigenvalue has multiplicity above b.
     """
     bd = spec.b * spec.d
     if spec.b * steps < bd:
@@ -146,18 +143,14 @@ def tan_angle_krylov(spec: ClusterSpec, omega, steps: int) -> float:
 def _tangent_from_basis(v: np.ndarray, bd: int) -> float:
     """Largest principal-angle tangent of span(v) against the leading bd coordinates.
 
-    CS form (Bjorck & Golub, Math. Comp. 1973): with ``top = U S W^T`` the
-    columns of ``bottom @ W`` are orthogonal with norms equal to the sines,
-    so the tangents are those norms over S. The largest angle pairs with the
-    smallest singular value ``c = S[-1]``. The columns of v are orthonormal,
-    so that sine is ``sqrt(1 - c^2)``, and where the angle is large the
-    cosine alone gives the tangent from a values-only SVD. Near ``c = 1``
-    the sine taken from the cosine loses its relative accuracy, so for
-    small angles the last column of ``W`` is applied to the bottom rows
-    instead (Knyazev & Argentati, SISC 2002: an angle from its cosine when
-    it is large, from its sine when it is small). The cosine counts
-    whenever it clears the ``1e-14`` gate; it is not truncated as a
-    least-squares solve would.
+    CS form (Bjorck & Golub, Math. Comp. 1973): the tangents are the
+    singular values of ``bottom @ pinv(top)``, and the cosines those of
+    ``top``. The smallest cosine ``c`` comes from a values-only SVD. Where
+    the angle is at least 45 degrees the tangent is ``sqrt(1 - c^2) / c``,
+    as the columns of v are orthonormal; below it the norm of
+    ``bottom @ pinv(top)`` takes the angle from its sine (Knyazev &
+    Argentati, SISC 2002). The cosine counts whenever it clears the
+    ``1e-14`` gate.
     """
     c = np.linalg.svd(v[:bd, :], compute_uv=False)[-1]
     if c < 1e-14:
@@ -166,8 +159,9 @@ def _tangent_from_basis(v: np.ndarray, bd: int) -> float:
     # relative accuracy; past it the error grows as (c / sin)^2
     if c <= 1.0 / math.sqrt(2.0):
         return float(math.sqrt((1.0 - c) * (1.0 + c)) / c)
-    _, svals, wt = np.linalg.svd(v[:bd, :], full_matrices=False)
-    return float(np.linalg.norm(v[bd:, :] @ wt[-1]) / svals[-1])
+    # every singular value of top lies in (1/sqrt(2), 1], far above
+    # lstsq's default cutoff, so rcond=None truncates nothing
+    return spectral_norm(np.linalg.lstsq(v[:bd].T, v[bd:].T, rcond=None)[0])
 
 
 def _vandermonde_route(spec: ClusterSpec, blocks, nodes: NodeSet):
@@ -258,7 +252,6 @@ def growth_Gd(spec: ClusterSpec, chains: SolventChains, grid_size: int = 1000) -
 class RobustnessReport:
     """Per-trial record of the structural-bound experiment."""
 
-    seed: int
     tan_angle_krylov: float
     tan_angle_vandermonde: float
     c_omega: float
@@ -318,7 +311,6 @@ def structural_bound_trial(
         g_d = growth_Gd(spec, chains, grid_size)
         bound = c_om * g_d
         return RobustnessReport(
-            seed=seed,
             tan_angle_krylov=tan_kry,
             tan_angle_vandermonde=tan_van,
             c_omega=c_om,

@@ -128,18 +128,6 @@ def run_until_converged_reference(op, omega, targets, tol: float = 1e-10, max_ma
     raise NoConvergenceError(max_steps * b)
 
 
-def tangent_all_columns(v, bd: int) -> float:
-    """All-columns CS oracle for the largest principal-angle tangent of span(v).
-
-    With ``top = v[:bd] = U S W^T`` every tangent ``||v[bd:] @ W[:, i]|| / S[i]``
-    is formed and the largest returned; ``inf`` when ``S[-1] < 1e-14``.
-    """
-    _, svals, wt = np.linalg.svd(v[:bd, :], full_matrices=False)
-    if svals[-1] < 1e-14:
-        return math.inf
-    return float(np.max(np.linalg.norm(v[bd:, :] @ wt.T, axis=0) / svals))
-
-
 class SingularVandermondeError(Exception):
     """The block Vandermonde matrix is singular at the gate."""
 

@@ -437,6 +437,42 @@ def test_benchmark_canonical_keys_pinned(tmp_path, monkeypatch):
         assert resolve_config(args).canonical_key() == BENCHMARK_KEYS[name]
 
 
+# Canonical keys of every command run with no flags, as the lines they
+# share plus each command's own. Every per-trial stream id derives from
+# these strings, so they pin each command's default sample streams.
+FLAG_FREE_KEY = {
+    "alpha_list": "",
+    "b_list": "1, 2, 4, 8, 16, 32",
+    "beta_list": "1.0, 0.1, 0.01, 0.001",
+    "cluster_dim": "60",
+    "d_list": "2, 3",
+    "ell": "6",
+    "eps": "0.1",
+    "grid_size": "1000",
+    "n": "2000",
+    "nrows": "30",
+    "seed": "8064113",
+    "tol": "1e-10",
+    "trials": "5",
+    "variant": "both",
+}
+COMMAND_KEY_CHANGES = {
+    "table1": {},
+    "cluster-robustness": {"n": "1000", "trials": "200"},
+    "bound-verify": {"b_list": "1, 2, 3", "trials": "20"},
+    "probe": {"b_list": "2", "trials": "2000"},
+    "sandwich": {"b_list": "1, 2, 3, 4", "trials": "1000"},
+    "lowrank": {"n": "20", "b_list": "2", "d_list": "2", "trials": "1"},
+}
+
+
+def test_command_canonical_keys_pinned():
+    for command, changes in COMMAND_KEY_CHANGES.items():
+        lines = {**FLAG_FREE_KEY, "experiment": command, **changes}
+        expected = "\n".join(f"{key} = {value}" for key, value in sorted(lines.items()))
+        assert resolve_config(build_parser().parse_args([command])).canonical_key() == expected
+
+
 def test_cli_full_flag_sets_cluster_trials():
     def trials(*argv):
         return resolve_config(build_parser().parse_args(argv)).trials

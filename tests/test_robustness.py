@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -12,7 +12,6 @@ from helpers import (
     chebyshev_value,
     fundamental_norms_loop,
     lagrange_scalar,
-    tangent_all_columns,
 )
 from rsbl.experiments import bound_verify_spec
 from rsbl.lanczos import block_lanczos
@@ -103,51 +102,65 @@ def test_krylov_tangent_counts_cosines_below_least_squares_cutoff():
     assert tan_angle_krylov(spec, omega, 4) == pytest.approx(expected, rel=1e-6)
 
 
-@st.composite
-def _basis_with_cosines(draw):
-    """Orthonormal n x k basis whose leading bd rows have prescribed cosines.
+def _angle_basis(rng, theta, k: int, n: int) -> np.ndarray:
+    """Orthonormal n x k basis whose principal angles to the leading coordinates are theta.
 
-    Cosines are log-uniform in [1e-16, 0.99], with clusters: repeats of a few
-    values, some nudged by 1e-15 relative. ``k - bd`` extra columns lie in
-    the trailing rows only, so the top rows have exactly bd singular values.
+    ``V = [U1 cos(Theta); U2 sin(Theta)] W^T`` with random orthogonal U1, W
+    and orthonormal U2; the ``k - bd`` extra columns of U2 have no leading
+    rows. Cosines and sines are both taken from theta, so the angles hold
+    to rounding even where a cosine is within ulps of 1.
     """
-    bd = draw(st.integers(1, 8))
-    k = bd + draw(st.integers(0, 6))
-    n = bd + k + draw(st.integers(0, 10))
-    centers = draw(st.lists(st.floats(-16.0, math.log10(0.99)), min_size=1, max_size=3))
-    picks = draw(st.lists(st.integers(0, len(centers) - 1), min_size=bd, max_size=bd))
-    nudges = draw(st.lists(st.sampled_from([0.0, 1.0, -1.0]), min_size=bd, max_size=bd))
-    cos = np.array([10.0 ** centers[i] * (1.0 + 1e-15 * e) for i, e in zip(picks, nudges)])
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return _rotated_basis(rng, cos, k, n), bd
-
-
-def _rotated_basis(rng, cos, k: int, n: int) -> np.ndarray:
-    """Orthonormal n x k basis whose leading len(cos) rows have singular values cos.
-
-    The top rows are a random rotation of ``diag(cos)`` padded by zero
-    columns; the whole basis is then turned by a random k x k rotation.
-    """
-    bd = cos.size
+    bd = theta.size
     top = np.zeros((bd, k))
-    top[:, :bd] = np.linalg.qr(rng.standard_normal((bd, bd)))[0] * cos
-    sines = np.ones(k)
-    sines[:bd] = np.sqrt(1.0 - cos**2)
-    bottom = np.linalg.qr(rng.standard_normal((n - bd, k)))[0] * sines
+    top[:, :bd] = np.linalg.qr(rng.standard_normal((bd, bd)))[0] * np.cos(theta)
+    bottom = np.linalg.qr(rng.standard_normal((n - bd, n - bd)))[0] @ np.eye(n - bd, k)
+    bottom[:, :bd] *= np.sin(theta)
     w = np.linalg.qr(rng.standard_normal((k, k)))[0]
     return np.vstack([top, bottom]) @ w.T
 
 
+@st.composite
+def _angle_case(draw, theta_max):
+    """(basis, bd, largest angle) with the other angles equal to it, within a
+    relative 1e-15 to 1e-6 below it, spread below it, or zero."""
+    t_max = draw(theta_max)
+    bd = draw(st.integers(1, 8))
+    k = bd + draw(st.integers(0, 6))
+    n = bd + k + draw(st.integers(0, 40))
+    rest = draw(st.lists(st.one_of(
+        st.just(t_max),
+        st.floats(-15.0, -6.0).map(lambda e: t_max * (1.0 - 10.0**e)),
+        st.floats(0.0, 1.0).map(lambda t: t_max * t),
+        st.just(0.0),
+    ), min_size=bd - 1, max_size=bd - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return _angle_basis(rng, np.array([t_max, *rest]), k, n), bd, t_max
+
+
+def _assert_tangent_matches_angle(case):
+    v, bd, t_max = case
+    got = _tangent_from_basis(v, bd)
+    if t_max == 0.0:
+        assert got == 0.0
+        return
+    # rounding V moves an angle by a few eps, and d(tan)/tan = dtheta / (sin cos);
+    # C = 128 is four times the worst C (31) over 12,000 random draws of these cases
+    tol = 128 * np.finfo(np.float64).eps / (math.sin(t_max) * math.cos(t_max))
+    assert got == pytest.approx(math.tan(t_max), rel=tol)
+
+
+def _zero_angle_case(bd: int, n: int):
+    # bottom rows exactly zero (or absent at n = bd): the tangent is exactly 0
+    rng = np.random.default_rng(bd + n)
+    return _angle_basis(rng, np.zeros(bd), bd, n), bd, 0.0
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=_basis_with_cosines())
-def test_tangent_from_basis_matches_all_columns_oracle(case):
-    v, bd = case
-    got, expected = _tangent_from_basis(v, bd), tangent_all_columns(v, bd)
-    if math.isfinite(got) or math.isfinite(expected):
-        assert got == pytest.approx(expected, rel=1e-12)
-
-
-_SWITCH = 1.0 / math.sqrt(2.0)
+@given(case=_angle_case(st.floats(-9.0, math.log10(0.7)).map(lambda e: 10.0**e)))
+@example(case=_zero_angle_case(3, 11))
+@example(case=_zero_angle_case(4, 4))
+def test_tangent_from_basis_matches_prescribed_angles(case):
+    _assert_tangent_matches_angle(case)
 
 
 def _ulps_from(x: float, steps: int) -> float:
@@ -156,33 +169,17 @@ def _ulps_from(x: float, steps: int) -> float:
     return x
 
 
-@st.composite
-def _basis_near_branch_switch(draw):
-    """Orthonormal basis whose smallest cosine sits at the 1/sqrt(2) switch.
-
-    The smallest cosine is exactly 1/sqrt(2), a few ulps either side of it,
-    uniform below it, or above it with ``1 - c`` down to 1e-7, where a sine
-    taken from the cosine would have lost six digits.
-    """
-    c_min = draw(st.one_of(
-        st.integers(-4, 4).map(lambda steps: _ulps_from(_SWITCH, steps)),
-        st.floats(0.05, _SWITCH),
-        st.floats(-7.0, math.log10(1.0 - _SWITCH)).map(lambda e: 1.0 - 10.0**e),
-    ))
-    bd = draw(st.integers(1, 8))
-    k = bd + draw(st.integers(0, 6))
-    n = bd + k + draw(st.integers(0, 10))
-    rest = draw(st.lists(st.floats(0.0, 0.9), min_size=bd - 1, max_size=bd - 1))
-    cos = np.array([c_min] + [c_min + (1.0 - c_min) * t for t in rest])
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return _rotated_basis(rng, cos, k, n), bd
-
-
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(case=_basis_near_branch_switch())
-def test_tangent_branches_agree_with_oracle_across_switch(case):
-    v, bd = case
-    assert _tangent_from_basis(v, bd) == pytest.approx(tangent_all_columns(v, bd), rel=1e-12)
+@given(case=_angle_case(st.one_of(
+    st.integers(-4, 4).map(lambda steps: _ulps_from(math.pi / 4, steps)),
+    st.sampled_from([math.pi / 4 - 1e-9, math.pi / 4 + 1e-9]),
+    st.floats(1e-4, math.pi / 2 - 1e-12),
+    st.floats(-12.0, -1.0).map(lambda e: math.pi / 2 - 10.0**e),
+)))
+def test_tangent_branches_match_prescribed_angles_across_switch(case):
+    """Largest angle at the 45-degree switch (a few ulps or 1e-9 either side),
+    spread over (0, 90) degrees, or within 1e-12 of 90 degrees."""
+    _assert_tangent_matches_angle(case)
 
 
 def test_tangent_cosine_branch_inf_gate():
