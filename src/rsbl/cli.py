@@ -17,6 +17,7 @@ standard error.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
@@ -79,7 +80,26 @@ def resolve_config(args) -> ExperimentConfig:
     return ExperimentConfig(**values)
 
 
+# glibc's dynamic thresholds follow the largest freed block, so every tangent
+# regrows the heap, trims it back to the kernel and faults in fresh pages.
+# Fixed ones keep the heap (mallopt(3)); 32 MiB, glibc's 64-bit maximum,
+# holds table1's largest basis (32.0 MB).
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 32 << 20
+_TRIM_THRESHOLD_BYTES = 64 << 20
+
+
+def _set_allocator_policy() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return  # no libc handle or no mallopt (not glibc): nothing to set
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _set_allocator_policy()
     args = build_parser().parse_args(argv)
     config = resolve_config(args)
     result = _COMMANDS[args.command](config)

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import platform
 import string
 import subprocess
 import sys
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rsbl.cli
 import rsbl.robustness
 from helpers import import_perfbench
 from rsbl.cli import build_parser, main, resolve_config
@@ -223,21 +225,99 @@ def test_cli_bound_verify_small(tmp_path):
     assert "holds_rate,1.0" in text
 
 
+def _run_fresh(code: str, *args) -> str:
+    """Run ``code`` in a fresh interpreter; return the last line it printed."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)], env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
 def test_cli_bound_verify_leaves_numpy_ma_unimported(tmp_path):
     # np.median imports numpy.ma on first use, about 10 ms of every run; a
     # fresh process, because any earlier test may have imported it already
-    src = str(Path(__file__).resolve().parent.parent / "src")
     code = (
         "import sys, rsbl.cli\n"
         "assert rsbl.cli.main(['bound-verify', '--trials', '2', '--out', sys.argv[1]]) == 0\n"
         "print('numpy.ma' in sys.modules)"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path)], env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True, text=True, timeout=300,
+    assert _run_fresh(code, tmp_path) == "False"
+
+
+# the tangent-sweep benchmark's operator at two trials: 78 sweep points
+_SWEEP_CONFIG = "n = 1000\ncluster_dim = 60\nvariant = exterior\n"
+
+
+@pytest.mark.skipif(
+    not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
+    reason="the allocator policy is set through glibc's mallopt; elsewhere main sets nothing",
+)
+def test_cli_sweep_keeps_heap_pages_between_tangents(tmp_path):
+    # a fresh process, so no earlier test has set the policy or shaped the heap;
+    # the first call warms the heap, the second is counted
+    config = tmp_path / "sweep.cfg"
+    config.write_text(_SWEEP_CONFIG)
+    code = (
+        "import contextlib, io, resource, sys, rsbl.cli\n"
+        "argv = ['cluster-robustness', '--config', sys.argv[1], '--trials', '2',\n"
+        "        '--seed', '1', '--out', sys.argv[2]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert rsbl.cli.main(argv) == 0\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    assert rsbl.cli.main(argv) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False"
+    faults = int(_run_fresh(code, config, tmp_path))
+    points = sum(
+        len((tmp_path / f"cluster_exterior_{sweep}.csv").read_text().splitlines()) - 1
+        for sweep in ("beta", "alpha")
+    )
+    tangents = 2 * points
+    # measured (2-core Xeon VM, glibc 2.36): 5 faults for 156 tangents with the
+    # policy, about 209 per tangent without it; 10 per tangent is the line
+    assert faults < 10 * tangents, (faults, tangents)
+
+
+@pytest.mark.parametrize("libc", ["missing", "no-mallopt"])
+def test_cli_runs_without_mallopt(tmp_path, monkeypatch, libc):
+    argv = ["probe", "--trials", "20", "--seed", "5", "--out"]
+    assert main(argv + [str(tmp_path / "plain")]) == 0
+
+    def cdll(name, *args, **kwargs):
+        if libc == "missing":
+            raise OSError("no libc handle")
+        return object()
+
+    monkeypatch.setattr(rsbl.cli.ctypes, "CDLL", cdll)
+    assert main(argv + [str(tmp_path / libc)]) == 0
+    name = "probe_quantiles.csv"
+    assert (tmp_path / libc / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+
+
+def test_cli_csv_bytes_independent_of_allocator_policy(tmp_path):
+    # determinism contract: the allocator policy may move where buffers live,
+    # never a computed bit; fresh processes, because the policy is per process
+    config = tmp_path / "sweep.cfg"
+    config.write_text(_SWEEP_CONFIG)
+    code = (
+        "import contextlib, io, sys, rsbl.cli\n"
+        "if sys.argv[2] == 'off':\n"
+        "    rsbl.cli._set_allocator_policy = lambda: None\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert rsbl.cli.main(['cluster-robustness', '--config', sys.argv[1],\n"
+        "                          '--trials', '2', '--seed', '3', '--out', sys.argv[3]]) == 0\n"
+        "print('done')"
+    )
+    for policy in ("on", "off"):
+        assert _run_fresh(code, config, policy, tmp_path / policy) == "done"
+    names = sorted(p.name for p in (tmp_path / "on").iterdir())
+    assert "cluster_exterior_beta.csv" in names
+    assert names == sorted(p.name for p in (tmp_path / "off").iterdir())
+    for name in names:
+        assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes(), name
 
 
 def test_cli_lowrank(tmp_path):
