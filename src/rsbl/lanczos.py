@@ -29,6 +29,20 @@ little cancels, one pass leaves the column orthogonal to working precision
 basis has at most two blocks the first pass already covers all of it, so
 those steps build the basis and remainder of two whole-basis passes, bit
 for bit.
+
+:func:`run_until_converged` compares Ritz values with its targets only on
+steps where a Sylvester inertia count of ``T`` (Parlett, *The Symmetric
+Eigenvalue Problem*, 1998) leaves a match possible. At ``b = 1`` the count is
+the Sturm sequence, one scalar recursion per shift, and each target gets its
+own window. The computed count is exact for a ``T'`` whose couplings differ
+from those of ``T`` by at most ``2.5 eps`` relative (Kahan 1966; Demmel,
+Dhillon & Ren, ETNA 1995), and ``eigvalsh`` is off by at most
+``p(k) eps ||T||`` (LAPACK Users' Guide, section 4.7). So the windows are
+widened beyond ``tol`` by ``STURM_MARGIN = 1e-12``, and a step whose bound
+``eps ((k + 5) G + 2 max|s|)``, ``G`` a Gershgorin bound on ``||T||``, exceeds
+it drops the count. At ``b >= 2`` no such bound holds for the block LDL^T
+pivots, so one window spans the target hull, widened by
+``SENTINEL_MARGIN = 1e-8``.
 """
 from __future__ import annotations
 
@@ -170,7 +184,8 @@ class _Process:
             q, r = qr_factor(self.remainder)
         except RankDeficientError as exc:
             raise BreakdownError(self.steps + 1) from exc
-        if np.min(np.abs(np.diag(r))) < 1e-12 * self._remainder_scale:
+        # qr_factor's R has a nonnegative diagonal
+        if r.diagonal().min() < 1e-12 * self._remainder_scale:
             raise BreakdownError(self.steps + 1)
         self.Vt[self.steps * self.b:(self.steps + 1) * self.b] = q.T
         self.beta[self.steps] = r
@@ -218,48 +233,114 @@ class _Process:
         return np.linalg.eigvalsh(self.tridiagonal())
 
 
-# Widening of the sentinel's edges beyond ``tol``: it absorbs the rounding
-# of both the inertia count and ``eigvalsh``, so the count of eigenvalues of
-# ``T`` between the edges covers every Ritz value within ``tol`` of a target.
+# b >= 2: widening of the target hull's edges beyond ``tol``. It absorbs the
+# rounding of both the block inertia count and ``eigvalsh``. No rounding bound
+# backs a smaller value: on criterion 1's Table 1 runs the block LDL^T growth
+# ||R_k D_(k-1)^-1 R_k^T|| reaches 1.1e4 and pivot eigenvalues fall to 5.9e-6.
 SENTINEL_MARGIN = 1e-8
+# b = 1: widening of each target's window beyond ``tol``. It must exceed the
+# rounding bound of ``_Sentinel.rounding_bound``; a step whose bound does not
+# fit drops the sentinel. On Table 1's b = 1 runs k stays below 200 and the
+# Gershgorin bound below 2.6, so the bound stays below 7.4e-14.
+STURM_MARGIN = 1e-12
 # A pivot with an eigenvalue this close to zero (relative to max(1, ||A_k||)
 # of its diagonal block) cannot be trusted to give the inertia; the sentinel
 # is dropped.
 PIVOT_RTOL = 1e-10
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class _Sentinel:
-    """Sylvester inertia of ``T - sI`` at two edges ``lo < hi``.
+    """Sylvester inertia of ``T - sI`` at ascending shifts, taken in ``(lo, hi)`` pairs.
 
     The block LDL^T pivots ``D_k(s) = A_k - sI - R_k D_(k-1)(s)^-1 R_k^T``
     are extended one block at a time; the number of negative pivot
-    eigenvalues is the number of eigenvalues of ``T`` below ``s``.
+    eigenvalues is the number of eigenvalues of ``T`` below ``s``. At
+    ``b = 1`` the pivots are the Sturm sequence
+    ``d_k(s) = (a_k - s) - r_k^2 / d_(k-1)(s)``, one scalar per shift.
     """
 
-    def __init__(self, lo: float, hi: float, b: int):
-        self.shifts = np.array([lo, hi])[:, None, None] * np.eye(b)
+    def __init__(self, shifts: np.ndarray, b: int):
+        shifts = np.asarray(shifts, dtype=np.float64)
+        self.b = b
+        self.shifts = shifts if b == 1 else shifts[:, None, None] * np.eye(b)
         self.pivot = None
-        self.negatives = np.zeros(2, dtype=np.int64)
+        self.negatives = np.zeros(shifts.size, dtype=np.int64)
+        # b = 1 only: the dimension of T and a running Gershgorin bound on ||T||_2;
+        # the last row's sum still lacks the coupling to the next step
+        self._dim = 0
+        self._gershgorin = 0.0
+        self._last_row = 0.0
+        self._shift_max = float(np.abs(shifts).max())
+
+    def rounding_bound(self) -> float:
+        """Bound on how far the count and ``eigvalsh`` can move an eigenvalue of ``T`` (b = 1).
+
+        ``eigvalsh`` returns the eigenvalues of ``T`` to within
+        ``p(k) eps ||T||_2`` (LAPACK Users' Guide, section 4.7), with the
+        modestly growing ``p(k)`` taken as ``k``. The computed Sturm count is
+        the exact count of a ``T'`` whose couplings are ``r_k (1 + e_k)``,
+        ``|e_k| <= 2.5 eps`` (Kahan, Stanford report CS41, 1966; Demmel,
+        Dhillon & Ren, ETNA 1995), so the eigenvalues of ``T'`` are within
+        ``5 eps max r_k`` of those of ``T``.
+        Rounding the edges ``t -/+ (tol + margin)`` costs at most
+        ``2 eps max|s|``. With the Gershgorin bound ``G >= ||T||_2, max r_k``
+        the sum is at most ``eps ((k + 5) G + 2 max|s|)``.
+        """
+        return _EPS * ((self._dim + 5) * self._gershgorin + 2.0 * self._shift_max)
 
     def extend(self, alpha: np.ndarray, beta: np.ndarray) -> bool:
-        """Append one block; False when a pivot is too close to singular to count."""
+        """Append one block; False when a pivot is too close to singular to count.
+
+        At ``b = 1`` also False when the rounding bound exceeds ``STURM_MARGIN``.
+        """
+        if self.b == 1:
+            return self._extend_scalar(float(alpha[0, 0]), float(beta[0, 0]))
         d = alpha - self.shifts
         if self.pivot is not None:
             d = d - beta @ np.linalg.solve(self.pivot, beta.T)
             d = 0.5 * (d + d.transpose(0, 2, 1))
-        # one batched call: the two pivots and, last, the diagonal block for the scale
+        # one batched call: the pivots and, last, the diagonal block for the scale
         eig = np.linalg.eigvalsh(np.concatenate([d, alpha[None]]))
-        scale = max(1.0, float(np.abs(eig[2]).max()))
+        scale = max(1.0, float(np.abs(eig[-1]).max()))
         # written so that a NaN pivot trips the gate too
-        if not np.abs(eig[:2]).min() > PIVOT_RTOL * scale:
+        if not np.abs(eig[:-1]).min() > PIVOT_RTOL * scale:
             return False
-        self.negatives += (eig[:2] < 0.0).sum(axis=1)
+        self.negatives += (eig[:-1] < 0.0).sum(axis=1)
         self.pivot = d
         return True
 
-    def count(self):
-        """Number of eigenvalues of ``T`` in ``[lo, hi)``."""
-        return self.negatives[1] - self.negatives[0]
+    def _extend_scalar(self, a: float, r: float) -> bool:
+        d = a - self.shifts
+        if self.pivot is not None:
+            d -= r * r / self.pivot
+        self._dim += 1
+        self._gershgorin = max(self._gershgorin, self._last_row + r, abs(a) + r)
+        self._last_row = abs(a) + r
+        # written so that a NaN pivot trips the gate too
+        if not np.abs(d).min() > PIVOT_RTOL * max(1.0, abs(a)):
+            return False
+        if self.rounding_bound() > STURM_MARGIN:
+            return False
+        self.negatives += d < 0.0
+        self.pivot = d
+        return True
+
+    def count(self) -> np.ndarray:
+        """Number of eigenvalues of ``T`` in each window ``[lo, hi)``."""
+        return self.negatives[1::2] - self.negatives[::2]
+
+
+def _windows(targets: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]:
+    """Edges of the windows ``[t - width, t + width]``, overlapping ones merged.
+
+    Returns the ascending edges ``lo_0, hi_0, lo_1, hi_1, ...`` of the merged
+    windows and the number of targets in each.
+    """
+    lo, hi = targets - width, targets + width
+    first = np.flatnonzero(np.r_[True, lo[1:] > hi[:-1]])
+    last = np.r_[first[1:], targets.size] - 1
+    return np.column_stack([lo[first], hi[last]]).ravel(), last - first + 1
 
 
 def _start(op: LinearOperator, omega, steps: int) -> _Process:
@@ -356,12 +437,17 @@ def run_until_converged(
 
     The comparison (``eigvalsh`` of the whole ``T``, then ``match_targets``)
     is skipped on steps where it provably fails. One :class:`_Sentinel`,
-    extended one block per step, counts the eigenvalues of ``T`` in the
-    target hull widened by ``w = tol + SENTINEL_MARGIN``, from
-    ``targets[0] - w`` to ``targets[-1] + w``; fewer than ``targets.size``
-    there leave some target unmatched. A pivot that trips the ``PIVOT_RTOL``
-    gate drops the sentinel, and every later step compares. The returned
-    count and values are those of the every-step comparison.
+    built when the run starts and extended one block per step, counts the
+    eigenvalues of ``T`` in windows around the targets. At ``b = 1`` each
+    target gets the window ``[t - w, t + w]``, ``w = tol + STURM_MARGIN``,
+    and overlapping windows merge into one that must hold as many
+    eigenvalues as it has targets. At ``b >= 2`` one window spans the target
+    hull, ``targets[0] - w`` to ``targets[-1] + w`` with
+    ``w = tol + SENTINEL_MARGIN``, and must hold ``targets.size``. A window
+    holding fewer leaves some target unmatched. A pivot that trips the
+    ``PIVOT_RTOL`` gate, or at ``b = 1`` a step whose rounding bound exceeds
+    ``STURM_MARGIN``, drops the sentinel, and every later step compares. The
+    returned count and values are those of the every-step comparison.
     """
     omega = as_matrix(omega, "Omega")
     targets = np.sort(np.asarray(targets, dtype=np.float64).reshape(-1))
@@ -380,14 +466,20 @@ def run_until_converged(
     if targets.size > max_steps * b:
         raise ValueError("more targets than the subspace budget allows")
     proc = _Process(op, omega, capacity=max_steps)
-    width = tol + SENTINEL_MARGIN
-    sentinel = _Sentinel(targets[0] - width, targets[-1] + width, b)
+    if b == 1:
+        edges, need = _windows(targets, tol + STURM_MARGIN)
+    else:
+        width = tol + SENTINEL_MARGIN
+        edges, need = np.array([targets[0] - width, targets[-1] + width]), targets.size
+    sentinel = _Sentinel(edges, b)
     for step in range(1, max_steps + 1):
         proc.advance()
         k = step - 1
         if sentinel is not None and not sentinel.extend(proc.alpha[k], proc.beta[k]):
             sentinel = None
-        if step * b < targets.size or (sentinel is not None and sentinel.count() < targets.size):
+        if step * b < targets.size or (
+            sentinel is not None and (sentinel.count() < need).any()
+        ):
             continue
         values = proc.ritz_values()
         idx = match_targets(values, targets, tol)

@@ -6,6 +6,7 @@ numpy arrays in row-major order, validated at the public entry points.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,22 +20,30 @@ class SingularMatrixError(Exception):
     """A matrix fails the singular-value gate of :func:`gated_svals`."""
 
 
-def as_stack(a, name: str = "matrix") -> np.ndarray:
-    """Return ``a`` as a float64 matrix or ``(..., r, c)`` stack with finite entries."""
+def _as_float64(a, name: str, stack: bool) -> np.ndarray:
+    """``a`` as a C-contiguous float64 matrix, or ``(..., r, c)`` stack when ``stack``; no scan."""
     m = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
     if m.ndim < 2:
         raise ValueError(f"{name} must be a matrix or a stack of them, got shape {m.shape}")
+    if not stack and m.ndim != 2:
+        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
+    return m
+
+
+def _require_finite(m: np.ndarray, name: str) -> np.ndarray:
     if m.size and not np.isfinite(m).all():
         raise ValueError(f"{name} contains NaN or Inf entries")
     return m
 
 
+def as_stack(a, name: str = "matrix") -> np.ndarray:
+    """Return ``a`` as a float64 matrix or ``(..., r, c)`` stack with finite entries."""
+    return _require_finite(_as_float64(a, name, stack=True), name)
+
+
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
     """Return ``a`` as a 2-D float64 C-contiguous array with finite entries."""
-    m = as_stack(a, name)
-    if m.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {m.shape}")
-    return m
+    return _require_finite(_as_float64(a, name, stack=False), name)
 
 
 @dataclass
@@ -79,16 +88,39 @@ def qr_factor(m) -> tuple[np.ndarray, np.ndarray]:
 
     CholeskyQR2 (Yamamoto, Nakatsukasa, Yanagisawa & Fukaya, ETNA 2015):
     ``R1 = chol(M^T M)^T`` and ``Q1 = M inv(R1)``, repeated once on ``Q1``,
-    give ``Q`` and ``R = R2 R1`` with a positive diagonal. When the Cholesky
-    factorization fails or ``||R1||_F ||inv(R1)||_F`` exceeds
-    ``CHOLESKY_QR_COND_LIMIT``, Householder QR with a sign fix takes over
-    and raises :class:`RankDeficientError` when any diagonal entry of R falls
-    below ``1e-12 * ||M||``; callers decide whether to deflate or abort.
+    give ``Q`` and ``R = R2 R1`` with a positive diagonal. On one column the
+    two passes are two scalar normalizations, ``r1 = sqrt(m^T m)`` and
+    ``q1 = m * (1/r1)``, then the same on ``q1``; they are computed in closed
+    form, with the bits of the matrix formulas, and fall back exactly where
+    those do. When the Cholesky factorization fails or
+    ``||R1||_F ||inv(R1)||_F`` exceeds ``CHOLESKY_QR_COND_LIMIT``, Householder
+    QR with a sign fix takes over and raises :class:`RankDeficientError` when
+    any diagonal entry of R falls below ``1e-12 * ||M||``; callers decide
+    whether to deflate or abort.
+
+    Only the fallback scans ``M`` for NaN and Inf, and raises ValueError
+    there: a non-finite entry makes its column's Gram diagonal non-finite, so
+    the Cholesky factorization fails or the estimate is NaN or Inf, and every
+    such input reaches the fallback.
     """
-    m = as_matrix(m)
+    m = _as_float64(m, "matrix", stack=False)
     rows, cols = m.shape
     if rows < cols:
         raise ValueError("qr_factor requires rows >= cols")
+    if cols == 1:
+        g = (m.T @ m).item()
+        # written so that NaN falls back too, as on the matrix path
+        if 0.0 < g < math.inf:
+            r1 = math.sqrt(g)
+            inv1 = 1.0 / r1
+            # the estimate as np.linalg.norm forms it on 1 x 1 matrices: inv1 * inv1
+            # overflows, and the matrix path falls back, below a norm of about 7.5e-155
+            if math.sqrt(r1 * r1) * math.sqrt(inv1 * inv1) <= CHOLESKY_QR_COND_LIMIT:
+                q1 = m * inv1
+                r2 = math.sqrt((q1.T @ q1).item())
+                # + 0.0 turns -0.0 into 0.0, as the matrix product does
+                return q1 * (1.0 / r2) + 0.0, np.array([[r2 * r1]])
+        return _householder_qr(_require_finite(m, "matrix"))
     try:
         r1 = np.linalg.cholesky(m.T @ m).T
         r1_inv = np.linalg.inv(r1)
@@ -99,7 +131,7 @@ def qr_factor(m) -> tuple[np.ndarray, np.ndarray]:
             return q1 @ np.linalg.inv(r2), r2 @ r1
     except np.linalg.LinAlgError:
         pass
-    return _householder_qr(m)
+    return _householder_qr(_require_finite(m, "matrix"))
 
 
 def _householder_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -128,6 +128,60 @@ def run_until_converged_reference(op, omega, targets, tol: float = 1e-10, max_ma
     raise NoConvergenceError(max_steps * b)
 
 
+def textbook_block_lanczos_count(diag, omega, targets, tol: float = 1e-10, max_matvecs=None):
+    """Matvec count at which block Lanczos on ``diag(diag)`` first matches every target, or None.
+
+    The textbook block Lanczos of Golub & Underwood (1977), written apart
+    from the package: Householder QR with a sign fix for every block, two
+    full classical Gram-Schmidt passes against the whole basis every step, a
+    dense ``T`` grown block by block, and ``eigvalsh`` plus ``match_targets``
+    after every step. Of ``rsbl.lanczos`` it uses only ``match_targets``.
+    """
+    diag = np.asarray(diag, dtype=np.float64)[:, None]
+    omega = np.asarray(omega, dtype=np.float64)
+    targets = np.sort(np.asarray(targets, dtype=np.float64).reshape(-1))
+    n, b = omega.shape
+    steps = min(n if max_matvecs is None else max_matvecs, n) // b
+
+    def householder(m):
+        q, r = np.linalg.qr(m)
+        signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
+        return q * signs, signs[:, None] * r
+
+    # the basis as rows, so that each pass streams one contiguous slab
+    rows = np.empty((b * steps, n))
+    rows[:b] = householder(omega)[0].T
+    t = np.zeros((b * steps, b * steps))
+    for step in range(1, steps + 1):
+        lo, hi = (step - 1) * b, step * b
+        v = rows[:hi]
+        w = diag * rows[lo:hi].T
+        coeffs = np.zeros((hi, b))
+        for _ in range(2):
+            h = v @ w
+            w = w - v.T @ h
+            coeffs += h
+        alpha = coeffs[lo:hi]
+        t[lo:hi, lo:hi] = 0.5 * (alpha + alpha.T)
+        if hi >= targets.size and match_targets(np.linalg.eigvalsh(t[:hi, :hi]), targets,
+                                                tol) is not None:
+            return hi
+        if step < steps:
+            q, r = householder(w)
+            rows[hi:hi + b] = q.T
+            t[hi:hi + b, lo:hi] = r
+            t[lo:hi, hi:hi + b] = r.T
+    return None
+
+
+def cholesky_qr2(m):
+    """The two CholeskyQR passes as matrix formulas, ``(Q, R)``, with no gate or fallback."""
+    r1 = np.linalg.cholesky(m.T @ m).T
+    q1 = m @ np.linalg.inv(r1)
+    r2 = np.linalg.cholesky(q1.T @ q1).T
+    return q1 @ np.linalg.inv(r2), r2 @ r1
+
+
 class SingularVandermondeError(Exception):
     """The block Vandermonde matrix is singular at the gate."""
 

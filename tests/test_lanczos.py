@@ -3,15 +3,23 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import dense_operator, run_until_converged_reference, symmetry_defect
-from rsbl.experiments import _table1_targets
+from helpers import (
+    dense_operator,
+    run_until_converged_reference,
+    symmetry_defect,
+    textbook_block_lanczos_count,
+)
+from rsbl.config import ExperimentConfig, derive_stream_id
+from rsbl.experiments import _matvecs_for_cell, _table1_targets
 from rsbl.lanczos import (
     SENTINEL_MARGIN,
+    STURM_MARGIN,
     BreakdownError,
     LinearOperator,
     NoConvergenceError,
     _Process,
     _Sentinel,
+    _windows,
     block_lanczos,
     krylov_basis,
     match_targets,
@@ -332,27 +340,108 @@ def test_run_until_converged_matches_every_step_reference(ritz_checks):
 
 def test_sentinel_gate_trips_on_singular_pivot(ritz_checks):
     # omega = e_1 makes the first diagonal block exactly a[0, 0]; the lower
-    # hull edge sits on it, so the first pivot there is exactly zero and
-    # the sentinel drops at step 1
+    # edge of the first target's window sits on it, so the first pivot there
+    # is exactly zero and the sentinel drops at step 1
     rng = np.random.default_rng(17)
     a = rng.standard_normal((10, 10))
     a = a + a.T
     omega = np.zeros((10, 1))
     omega[0, 0] = 1.0
     a00 = a[0, 0]
-    width = 1e-10 + SENTINEL_MARGIN
+    width = 1e-10 + STURM_MARGIN
     target = a00 + width
     while target - width != a00:
         target = np.nextafter(target, -np.inf if target - width > a00 else np.inf)
     theta = np.linalg.eigvalsh(block_lanczos(dense_operator(a), omega, 2).T)
     targets = [target, theta[1]]
     assert target < theta[1]
+    edges, _ = _windows(np.array(targets), width)
+    assert edges[0] == a00
     expected = _outcome(run_until_converged_reference, dense_operator(a), omega,
                         targets)
     got = _outcome(run_until_converged, dense_operator(a), omega, targets)
     assert got == expected == ("no convergence", 10)
     # step 1 holds fewer Ritz values than targets; every later step compares
     assert ritz_checks == list(range(2, 11))
+
+
+def test_block_sentinel_gate_trips_on_singular_pivot(ritz_checks):
+    # b = 2: omega = [e_1, e_2] makes the first diagonal block a[:2, :2]; the
+    # lower hull edge sits on its smaller eigenvalue, so the first pivot's
+    # eigenvalue there is zero to rounding and the sentinel drops at step 1
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((10, 10))
+    a = a + a.T
+    omega = np.eye(10)[:, :2]
+    low = np.linalg.eigvalsh(a[:2, :2])[0]
+    width = 1e-10 + SENTINEL_MARGIN
+    # two targets 1e-6 apart, which no two eigenvalues of a match: no run
+    # converges, and a sentinel that stayed would skip every step
+    targets = [low + width, low + width + 1e-6]
+    sentinel = _Sentinel(np.array([targets[0] - width, targets[1] + width]), 2)
+    assert not sentinel.extend(a[:2, :2], np.zeros((2, 2)))
+    expected = _outcome(run_until_converged_reference, dense_operator(a), omega, targets)
+    got = _outcome(run_until_converged, dense_operator(a), omega, targets)
+    assert got == expected == ("no convergence", 10)
+    assert ritz_checks == [1, 2, 3, 4, 5]
+
+
+def test_sturm_rounding_guard_drops_the_sentinel(ritz_checks):
+    # b = 1 with ||T|| near 100: the rounding bound eps ((k + 5) G + 2 max|s|)
+    # outgrows STURM_MARGIN part way through the run. The target sits in a gap
+    # of the spectrum, so the sentinel skips every step before that and every
+    # step compares after it
+    n = 90
+    values = np.linspace(-50.0, 50.0, n)
+    target = 0.5 * (values[44] + values[45])
+    omega = gaussian_matrix(n, 1, RngStream(33))
+    proc = _Process(diag_operator(values), omega, capacity=n)
+    eps = np.finfo(np.float64).eps
+    shift = abs(target) + 1e-10 + STURM_MARGIN
+    trip = None
+    for step in range(1, n + 1):
+        proc.advance()
+        gershgorin = np.abs(proc.tridiagonal()).sum(axis=1).max()
+        if eps * ((step + 5) * gershgorin + 2.0 * shift) > STURM_MARGIN:
+            trip = step
+            break
+    assert trip is not None and 10 < trip < n - 10
+    expected = _outcome(run_until_converged_reference, diag_operator(values), omega, [target])
+    got = _outcome(run_until_converged, diag_operator(values), omega, [target])
+    assert got == expected == ("no convergence", n)
+    assert ritz_checks == list(range(trip, n + 1))
+
+
+def test_windows_merge_overlapping_targets():
+    targets = np.array([1.0, 1.0 + 1e-10, 2.0, 3.0, 3.0])
+    edges, need = _windows(targets, 1e-10)
+    assert edges.tolist() == [1.0 - 1e-10, 1.0 + 2e-10, 2.0 - 1e-10, 2.0 + 1e-10,
+                              3.0 - 1e-10, 3.0 + 1e-10]
+    assert need.tolist() == [2, 1, 2]
+
+
+def test_table1_benchmark_b1_runs_make_one_ritz_check_each(ritz_checks):
+    # the per-target windows let a b = 1 run compare only on the step where it
+    # converges, on each of the 8 b = 1 runs of the benchmark config
+    config = ExperimentConfig(experiment="table1", trials=2, seed=1)
+    counts = [c for beta in config.beta_list for c in _matvecs_for_cell(config, beta, 1)]
+    assert len(counts) == 8 and min(counts) > 0
+    assert ritz_checks == counts
+
+
+@pytest.mark.parametrize("b", [1, 2, 4, 8])
+@pytest.mark.parametrize("beta", [1.0, 0.001])
+def test_run_until_converged_matches_textbook_block_lanczos(beta, b):
+    # criterion 1's draws (first three trials): the textbook process shares no
+    # step code with rsbl.lanczos, so it also guards the step itself
+    config = ExperimentConfig(experiment="table1", trials=11, seed=8064113)
+    lam, diag = _table1_targets(beta, config.n)
+    key = config.canonical_key("table1", f"beta={beta!r}", f"b={b}")
+    for trial in range(3):
+        omega = gaussian_matrix(config.n, b, RngStream(config.seed,
+                                                       derive_stream_id(key, trial * 101)))
+        count, _ = run_until_converged(diag_operator(diag), omega, lam, max_matvecs=1024 * b)
+        assert count == textbook_block_lanczos_count(diag, omega, lam, max_matvecs=1024 * b)
 
 
 def test_table1_run_builds_one_sentinel_and_extends_it_once_per_step(monkeypatch):
@@ -412,22 +501,24 @@ def _block_tridiagonal(alpha, beta):
     b=st.integers(1, 4),
     k=st.integers(1, 30),
     seed=st.integers(0, 2**32 - 1),
-    edges=st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+    windows=st.lists(st.tuples(st.floats(-6.0, 6.0), st.floats(-6.0, 6.0)),
+                     min_size=1, max_size=32),
 )
-def test_sentinel_negative_pivots_count_eigenvalues_below_shift(b, k, seed, edges):
-    lo, hi = sorted(edges)
+def test_sentinel_negative_pivots_count_eigenvalues_below_shift(b, k, seed, windows):
+    # up to 64 shifts: the scalar Sturm path at b = 1, the batched blocks above
+    shifts = np.sort(np.ravel(windows))
     rng = np.random.default_rng(seed)
     alpha = rng.standard_normal((k, b, b))
     alpha = alpha + alpha.transpose(0, 2, 1)
     beta = rng.standard_normal((k, b, b))
     beta[0] = 0.0
     eig = np.linalg.eigvalsh(_block_tridiagonal(alpha, beta))
-    assume(np.abs(eig[:, None] - [lo, hi]).min() >= 1e-6)
-    sentinel = _Sentinel(lo, hi, b)
+    assume(np.abs(eig[:, None] - shifts).min() >= 1e-6)
+    sentinel = _Sentinel(shifts, b)
     if all(sentinel.extend(alpha[j], beta[j]) for j in range(k)):
-        assert sentinel.negatives.tolist() == [np.count_nonzero(eig < lo),
-                                                np.count_nonzero(eig < hi)]
-        assert sentinel.count() == np.count_nonzero((lo <= eig) & (eig < hi))
+        below = (eig[:, None] < shifts).sum(axis=0)
+        assert sentinel.negatives.tolist() == below.tolist()
+        assert sentinel.count().tolist() == (below[1::2] - below[::2]).tolist()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)

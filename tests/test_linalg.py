@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import NotSymmetricError, sym_eig
+from helpers import NotSymmetricError, cholesky_qr2, sym_eig
 from rsbl import linalg
 from rsbl.linalg import (
     RankDeficientError,
@@ -95,6 +95,23 @@ def _conditioned(kappa, rows=1000, cols=20, seed=0, last_alone=False):
     return (u * np.logspace(0.0, -np.log10(kappa), cols)) @ v.T
 
 
+def _count_fallbacks_and_scans(monkeypatch):
+    fallbacks, scans = [], []
+    householder, require_finite = linalg._householder_qr, linalg._require_finite
+
+    def counted_fallback(m):
+        fallbacks.append(m.shape)
+        return householder(m)
+
+    def counted_scan(m, name):
+        scans.append(m.shape)
+        return require_finite(m, name)
+
+    monkeypatch.setattr(linalg, "_householder_qr", counted_fallback)
+    monkeypatch.setattr(linalg, "_require_finite", counted_scan)
+    return fallbacks, scans
+
+
 @pytest.mark.parametrize(
     "kappa, falls_back",
     [
@@ -105,21 +122,73 @@ def _conditioned(kappa, rows=1000, cols=20, seed=0, last_alone=False):
     ],
 )
 def test_qr_cholesky_fallback_gate(monkeypatch, kappa, falls_back):
-    fallbacks = []
-    householder = linalg._householder_qr
-
-    def counted(m):
-        fallbacks.append(m.shape)
-        return householder(m)
-
-    monkeypatch.setattr(linalg, "_householder_qr", counted)
+    fallbacks, scans = _count_fallbacks_and_scans(monkeypatch)
     m = _conditioned(kappa)
     q, r = qr_factor(m)
     assert len(fallbacks) == falls_back
+    # only the fallback scans for NaN and Inf
+    assert len(scans) == falls_back
     assert np.linalg.norm(q.T @ q - np.eye(20), 2) <= 1e-13 * np.sqrt(20)
     assert np.linalg.norm(q @ r - m, 2) <= 1e-13 * np.linalg.norm(m, 2)
     assert np.all(np.diag(r) >= 0.0)
     assert np.array_equal(r, np.triu(r))
+    # non-finite input still reaches the fallback, whose scan raises
+    for bad in (np.nan, np.inf, -np.inf):
+        m[3, 5] = bad
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+            qr_factor(m)
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "strided"])
+def test_qr_one_column_is_the_two_pass_formula_bit_for_bit(monkeypatch, layout):
+    # the closed form keeps every bit of the matrix formulas, signed zeros too,
+    # from 1e-150 to 1e150 and whatever the memory layout of the column
+    fallbacks, scans = _count_fallbacks_and_scans(monkeypatch)
+    rng = np.random.default_rng(40)
+    cases = 0
+    for rows in (1, 2, 24, 333, 2000):
+        for exponent in range(-150, 151, 10):
+            wide = rng.standard_normal((rows, 3)) * 10.0**exponent
+            wide[rng.random(rows) < 0.3, 1] = -0.0
+            if layout == "F":
+                m = np.asfortranarray(wide)[:, 1:2]
+            elif layout == "strided":
+                m = wide[:, 1:2]
+            else:
+                m = np.ascontiguousarray(wide[:, 1:2])
+            if not m.any():
+                continue
+            q, r = qr_factor(m)
+            q_ref, r_ref = cholesky_qr2(np.ascontiguousarray(m))
+            assert q.tobytes() == q_ref.tobytes(), (rows, exponent)
+            assert r.tobytes() == r_ref.tobytes(), (rows, exponent)
+            cases += 1
+    assert cases >= 130
+    assert fallbacks == scans == []
+
+
+def test_qr_one_column_edges():
+    with pytest.raises(RankDeficientError):
+        qr_factor(np.zeros((5, 1)))
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.ones((5, 1))
+        m[2, 0] = bad
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN or Inf"):
+            qr_factor(m)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-170, 1e-160])
+def test_qr_one_column_out_of_range_takes_the_fallback(monkeypatch, scale):
+    # 1e200: the Gram entry overflows; 1e-170: it underflows to zero; 1e-160: it
+    # is subnormal, and the estimate's inv(R1) squared overflows
+    fallbacks, _ = _count_fallbacks_and_scans(monkeypatch)
+    m = np.random.default_rng(41).standard_normal((50, 1)) * scale
+    with np.errstate(all="ignore"):
+        q, r = qr_factor(m)
+    assert fallbacks == [(50, 1)]
+    assert abs(np.linalg.norm(q) - 1.0) <= 1e-15
+    assert r[0, 0] > 0.0
+    assert np.allclose(q * r[0, 0], m, rtol=1e-14, atol=0.0)
 
 
 def test_qr_rank_gate_trips_past_the_fallback():
