@@ -30,6 +30,7 @@ from .experiments import (
     run_probe,
     run_sandwich,
     run_table1,
+    write_outputs,
 )
 
 _COMMANDS = {
@@ -103,6 +104,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     config = resolve_config(args)
     result = _COMMANDS[args.command](config)
+    write_outputs(config.out_dir, result)
     if result.console:
         print(result.console)
     print(f"wrote {', '.join(result.files)} to {config.out_dir}")

@@ -1,8 +1,9 @@
 """Experiment drivers: seeded runs, CSV emission, and summary statistics.
 
 Every runner is deterministic given its configuration: per-trial sample
-streams are derived from the canonical configuration key, rows are written
-in a fixed order, and floats are serialized as shortest round-trip
+streams are derived from the canonical configuration key, and rows come in
+a fixed order. Runners return their files as data and never touch the file
+system; :func:`write_outputs` writes them, floats as shortest round-trip
 decimals, so reruns produce byte-identical files.
 """
 from __future__ import annotations
@@ -73,20 +74,35 @@ def fit_loglog(xs, ys) -> tuple[float, float, float]:
 
 @dataclass
 class RunResult:
-    """Outcome of one experiment command: emitted files, console text, failures."""
+    """Outcome of one experiment command: its files as data, console text, failures.
 
-    files: list = field(default_factory=list)
+    ``outputs`` lists each file in write order, as ``(name, header, rows)``
+    for a CSV or ``(name, text)`` for any other file.
+    """
+
+    outputs: list = field(default_factory=list)
     console: str = ""
     failures: list = field(default_factory=list)
+
+    @property
+    def files(self) -> list:
+        return [entry[0] for entry in self.outputs]
 
     @property
     def ok(self) -> bool:
         return not self.failures
 
 
-def _ensure_out(config: ExperimentConfig) -> str:
-    os.makedirs(config.out_dir, exist_ok=True)
-    return config.out_dir
+def write_outputs(out_dir: str, result: RunResult) -> None:
+    """Create ``out_dir`` and write every entry of ``result.outputs`` there, in order."""
+    os.makedirs(out_dir, exist_ok=True)
+    for name, *body in result.outputs:
+        path = os.path.join(out_dir, name)
+        if len(body) == 2:
+            write_csv(path, *body)
+        else:
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(body[0])
 
 
 def _table1_targets(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -124,7 +140,6 @@ def _matvecs_for_cell(config: ExperimentConfig, beta: float, b: int) -> list:
 
 def run_table1(config: ExperimentConfig) -> RunResult:
     """Matvec counts for convergence of the 32-eigenvalue cluster experiment."""
-    out = _ensure_out(config)
     result = RunResult()
     rows = []
     medians: dict = {}
@@ -139,11 +154,7 @@ def run_table1(config: ExperimentConfig) -> RunResult:
                     {"check": "table1-convergence", "beta": beta, "b": b}
                 )
             medians[(beta, b)] = good[len(good) // 2] if good else -1
-    write_csv(
-        os.path.join(out, "table1_trials.csv"),
-        ("config", "b", "trial", "matvecs"),
-        rows,
-    )
+    result.outputs.append(("table1_trials.csv", ("config", "b", "trial", "matvecs"), rows))
     summary_rows = []
     lines = ["block size b".ljust(14) + "".join(str(b).rjust(12) for b in config.b_list)]
     for beta in config.beta_list:
@@ -152,15 +163,12 @@ def run_table1(config: ExperimentConfig) -> RunResult:
         for b in config.b_list:
             med = medians[(beta, b)]
             overhead = 100.0 * (med - base) / base if base > 0 and med > 0 else math.nan
-            summary_rows.append((format_number(beta), b, med, overhead))
+            summary_rows.append((beta, b, med, overhead))
             cells.append(f"{med}" if b == config.b_list[0] else f"{med} ({overhead:.0f}%)")
         lines.append(f"beta={format_number(beta)}".ljust(14) + "".join(c.rjust(12) for c in cells))
-    write_csv(
-        os.path.join(out, "table1_summary.csv"),
-        ("beta", "b", "median_matvecs", "overhead_pct"),
-        summary_rows,
+    result.outputs.append(
+        ("table1_summary.csv", ("beta", "b", "median_matvecs", "overhead_pct"), summary_rows)
     )
-    result.files = ["table1_trials.csv", "table1_summary.csv"]
     result.console = "\n".join(lines)
     return result
 
@@ -195,7 +203,6 @@ for path in sys.argv[1:]:
 
 def run_cluster_robustness(config: ExperimentConfig) -> RunResult:
     """Quantile sweeps of the measured angle over both sweep designs."""
-    out = _ensure_out(config)
     result = RunResult()
     trials = config.trials
     variants = ("exterior", "interior") if config.variant == "both" else (config.variant,)
@@ -206,39 +213,21 @@ def run_cluster_robustness(config: ExperimentConfig) -> RunResult:
                 sweep=sweep, variant=variant, n=config.n, cluster_dim=config.cluster_dim
             )
             summaries = conjecture_experiment(family, trials, config.seed)
-            rows = [
-                (
-                    s.d,
-                    format_number(s.sweep_value),
-                    format_number(s.relgap),
-                    s.median,
-                    s.q25,
-                    s.q75,
-                    s.trials,
-                )
-                for s in summaries
-            ]
-            name = f"cluster_{variant}_{sweep}.csv"
-            write_csv(
-                os.path.join(out, name),
+            result.outputs.append((
+                f"cluster_{variant}_{sweep}.csv",
                 ("d", "abscissa", "relgap", "median", "q25", "q75", "trials"),
-                rows,
-            )
-            result.files.append(name)
+                [(s.d, s.sweep_value, s.relgap, s.median, s.q25, s.q75, s.trials)
+                 for s in summaries],
+            ))
             for d in family.d_values:
                 pts = [s for s in summaries if s.d == d]
                 xs = [s.sweep_value if sweep == "beta" else s.relgap for s in pts]
                 slope, intercept, r2 = fit_loglog(xs, [s.median for s in pts])
                 slope_rows.append((variant, sweep, d, slope, intercept, r2))
-    write_csv(
-        os.path.join(out, "cluster_slopes.csv"),
-        ("variant", "sweep", "d", "slope", "intercept", "r2"),
-        slope_rows,
-    )
-    script_path = os.path.join(out, "plot_cluster_robustness.py")
-    with open(script_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_PLOT_SCRIPT)
-    result.files += ["cluster_slopes.csv", "plot_cluster_robustness.py"]
+    result.outputs += [
+        ("cluster_slopes.csv", ("variant", "sweep", "d", "slope", "intercept", "r2"), slope_rows),
+        ("plot_cluster_robustness.py", _PLOT_SCRIPT),
+    ]
     result.console = "\n".join(
         f"{v}/{s} d={d}: slope {sl:+.3f} (r2 {r2:.3f})" for v, s, d, sl, _, r2 in slope_rows
     )
@@ -274,7 +263,6 @@ def bound_verify_spec(b: int, d: int, trial_rng: RngStream) -> ClusterSpec:
 
 def run_bound_verify(config: ExperimentConfig) -> RunResult:
     """Monte Carlo verification of the structural bound; holds rate must be 100%."""
-    out = _ensure_out(config)
     result = RunResult()
     rows = []
     holds = 0
@@ -317,25 +305,9 @@ def run_bound_verify(config: ExperimentConfig) -> RunResult:
                     result.failures.append(
                         {"check": "bound-holds", "b": b, "d": d, "trial": trial}
                     )
-    write_csv(
-        os.path.join(out, "bound_reports.csv"),
-        (
-            "b",
-            "d",
-            "trial",
-            "tan_krylov",
-            "tan_vandermonde",
-            "c_omega",
-            "chi_mono",
-            "chi_coef",
-            "g_d",
-            "bound",
-            "bound_holds",
-            "cond_k",
-            "retries",
-        ),
-        rows,
-    )
+    header = ("b", "d", "trial", "tan_krylov", "tan_vandermonde", "c_omega", "chi_mono",
+              "chi_coef", "g_d", "bound", "bound_holds", "cond_k", "retries")
+    result.outputs.append(("bound_reports.csv", header, rows))
     rate = holds / total if total else 0.0
     # np.median would import numpy.ma on first use, a cost paid by every run
     slack = np.sort(slack)
@@ -345,31 +317,27 @@ def run_bound_verify(config: ExperimentConfig) -> RunResult:
         ("median_slackness",
          _quantile(slack, 0.5) if slack.size and not np.isnan(slack).any() else math.nan),
     ]
-    write_csv(os.path.join(out, "bound_summary.csv"), ("metric", "value"), summary)
-    result.files = ["bound_reports.csv", "bound_summary.csv"]
+    result.outputs.append(("bound_summary.csv", ("metric", "value"), summary))
     result.console = f"structural bound held in {holds}/{total} trials (rate {rate:.4f})"
     return result
 
 
 def run_probe(config: ExperimentConfig) -> RunResult:
     """Distribution probe of the smallest singular value of a solvent difference."""
-    out = _ensure_out(config)
     result = RunResult()
     lam_i = np.arange(1.0, 1.0 + config.b_list[0])
     lam_j = np.arange(1.0, 1.0 + config.b_list[0]) + config.b_list[0] + 1.0
     quantiles = probe_solvent_difference(
         lam_i, lam_j, config.trials, config.seed, config.canonical_key("probe")
     )
-    rows = [(format_number(q), v) for q, v in sorted(quantiles.items())]
-    write_csv(os.path.join(out, "probe_quantiles.csv"), ("quantile", "value"), rows)
-    result.files = ["probe_quantiles.csv"]
+    rows = sorted(quantiles.items())
+    result.outputs.append(("probe_quantiles.csv", ("quantile", "value"), rows))
     result.console = "\n".join(f"q{q}: {v}" for q, v in rows)
     return result
 
 
 def run_sandwich(config: ExperimentConfig) -> RunResult:
     """Monte Carlo check of the two-sided block-matrix inverse bound."""
-    out = _ensure_out(config)
     result = RunResult()
     rows = []
     holds = 0
@@ -385,19 +353,15 @@ def run_sandwich(config: ExperimentConfig) -> RunResult:
         rows.append((trial, b, lower, middle, upper, ok))
         if not ok:
             result.failures.append({"check": "sandwich", "trial": trial})
-    write_csv(
-        os.path.join(out, "sandwich.csv"),
-        ("trial", "b", "lower", "middle", "upper", "holds"),
-        rows,
+    result.outputs.append(
+        ("sandwich.csv", ("trial", "b", "lower", "middle", "upper", "holds"), rows)
     )
-    result.files = ["sandwich.csv"]
     result.console = f"sandwich bound held in {holds}/{len(rows)} trials"
     return result
 
 
 def run_lowrank(config: ExperimentConfig) -> RunResult:
     """Observational low-rank approximation report on a synthetic matrix."""
-    out = _ensure_out(config)
     result = RunResult()
     rng = RngStream(config.seed, derive_stream_id(config.canonical_key("lowrank"), 0))
     sigma = np.linspace(10.0, 1.0, config.n)
@@ -418,7 +382,6 @@ def run_lowrank(config: ExperimentConfig) -> RunResult:
         ("max_rayleigh_error", float(report.rayleigh_errors.max())),
         ("rayleigh_within", report.rayleigh_within),
     ]
-    write_csv(os.path.join(out, "lowrank.csv"), ("metric", "value"), rows)
-    result.files = ["lowrank.csv"]
+    result.outputs.append(("lowrank.csv", ("metric", "value"), rows))
     result.console = "\n".join(f"{k}: {format_number(v)}" for k, v in rows)
     return result

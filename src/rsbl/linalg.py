@@ -101,14 +101,16 @@ def qr_factor(m) -> tuple[np.ndarray, np.ndarray]:
     Only the fallback scans ``M`` for NaN and Inf, and raises ValueError
     there: a non-finite entry makes its column's Gram diagonal non-finite, so
     the Cholesky factorization fails or the estimate is NaN or Inf, and every
-    such input reaches the fallback.
+    such input reaches the fallback. The Gram product and the estimate
+    overflow, or turn NaN, without a warning: those inputs are the fallback's.
     """
     m = _as_float64(m, "matrix", stack=False)
     rows, cols = m.shape
     if rows < cols:
         raise ValueError("qr_factor requires rows >= cols")
     if cols == 1:
-        g = (m.T @ m).item()
+        with np.errstate(over="ignore"):
+            g = (m.T @ m).item()
         # written so that NaN falls back too, as on the matrix path
         if 0.0 < g < math.inf:
             r1 = math.sqrt(g)
@@ -122,10 +124,14 @@ def qr_factor(m) -> tuple[np.ndarray, np.ndarray]:
                 return q1 * (1.0 / r2) + 0.0, np.array([[r2 * r1]])
         return _householder_qr(_require_finite(m, "matrix"))
     try:
-        r1 = np.linalg.cholesky(m.T @ m).T
-        r1_inv = np.linalg.inv(r1)
+        # cholesky and inv set their own error state, so only the Gram
+        # product and the estimate are silenced here
+        with np.errstate(over="ignore", invalid="ignore"):
+            r1 = np.linalg.cholesky(m.T @ m).T
+            r1_inv = np.linalg.inv(r1)
+            estimate = np.linalg.norm(r1) * np.linalg.norm(r1_inv)
         # written so that a NaN or Inf estimate also falls back
-        if np.linalg.norm(r1) * np.linalg.norm(r1_inv) <= CHOLESKY_QR_COND_LIMIT:
+        if estimate <= CHOLESKY_QR_COND_LIMIT:
             q1 = m @ r1_inv
             r2 = np.linalg.cholesky(q1.T @ q1).T
             return q1 @ np.linalg.inv(r2), r2 @ r1

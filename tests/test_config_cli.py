@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import os
 import platform
@@ -13,12 +14,44 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rsbl.cli
+import rsbl.experiments
 import rsbl.robustness
 from helpers import import_perfbench
 from rsbl.cli import build_parser, main, resolve_config
 from rsbl.config import ExperimentConfig, derive_stream_id
-from rsbl.experiments import fit_loglog, format_number, run_probe, run_sandwich, write_csv
+from rsbl.experiments import (
+    fit_loglog,
+    format_number,
+    run_probe,
+    run_sandwich,
+    write_csv,
+    write_outputs,
+)
 from rsbl.linalg import RngStream
+
+# one small run of each command: the config keys that shrink its defaults
+SMALL_CONFIGS = {
+    "table1": dict(n=200, b_list=(1, 2), beta_list=(1.0,), trials=1),
+    "cluster-robustness": dict(n=300, trials=2),
+    "bound-verify": dict(trials=2),
+    "probe": dict(trials=25),
+    "sandwich": dict(trials=20),
+    "lowrank": {},
+}
+
+
+def _small_config(command: str, out_dir) -> ExperimentConfig:
+    values = {**rsbl.cli._DEFAULTS[command], **SMALL_CONFIGS[command]}
+    return ExperimentConfig(experiment=command, out_dir=str(out_dir), **values)
+
+
+def _small_argv(command: str, config_dir, out_dir) -> list:
+    def text(value):
+        return ", ".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+    path = config_dir / f"{command}.cfg"
+    path.write_text("".join(f"{k} = {text(v)}\n" for k, v in SMALL_CONFIGS[command].items()))
+    return [command, "--config", str(path), "--seed", "3", "--out", str(out_dir)]
 
 
 def test_config_round_trip():
@@ -176,9 +209,31 @@ def test_sandwich_runner_deterministic(tmp_path):
     )
     result = run_sandwich(config)
     assert result.ok
-    first = (tmp_path / "sandwich.csv").read_bytes()
-    run_sandwich(config)
-    assert (tmp_path / "sandwich.csv").read_bytes() == first
+    write_outputs(str(tmp_path / "a"), result)
+    write_outputs(str(tmp_path / "b"), run_sandwich(config))
+    assert (tmp_path / "a" / "sandwich.csv").read_bytes() == (
+        tmp_path / "b" / "sandwich.csv"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize("command", sorted(rsbl.cli._COMMANDS))
+def test_runner_leaves_the_file_system_to_the_writer(tmp_path, monkeypatch, command):
+    # a runner returns its files as data; write_outputs alone creates the
+    # directory and opens each file, in the order of result.files
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "absent"
+    result = rsbl.cli._COMMANDS[command](_small_config(command, out))
+    assert not any(tmp_path.iterdir())
+    opened = []
+
+    def recording_open(path, *args, **kwargs):
+        opened.append(os.path.relpath(path, out))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(rsbl.experiments, "open", recording_open, raising=False)
+    write_outputs(str(out), result)
+    assert result.files and opened == result.files
+    assert sorted(p.name for p in out.iterdir()) == sorted(result.files)
 
 
 def test_cli_sandwich_exit_code(tmp_path, capsys):
@@ -329,20 +384,26 @@ def test_cli_csv_bytes_independent_of_allocator_policy(tmp_path):
     config = tmp_path / "sweep.cfg"
     config.write_text(_SWEEP_CONFIG)
     code = (
-        "import contextlib, io, sys, rsbl.cli\n"
-        "if sys.argv[2] == 'off':\n"
+        "import contextlib, io, json, sys, rsbl.cli\n"
+        "if sys.argv[1] == 'off':\n"
         "    rsbl.cli._set_allocator_policy = lambda: None\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert rsbl.cli.main(['cluster-robustness', '--config', sys.argv[1],\n"
-        "                          '--trials', '2', '--seed', '3', '--out', sys.argv[3]]) == 0\n"
-        "    assert rsbl.cli.main(['bound-verify', '--trials', '3', '--seed', '3',\n"
-        "                          '--out', sys.argv[3]]) == 0\n"
+        "    for argv in json.loads(sys.argv[2]):\n"
+        "        assert rsbl.cli.main(argv) == 0, argv\n"
         "print('done')"
     )
+    small = ("table1", "probe", "sandwich", "lowrank")
     for policy in ("on", "off"):
-        assert _run_fresh(code, config, policy, tmp_path / policy) == "done"
+        out = str(tmp_path / policy)
+        runs = [
+            ["cluster-robustness", "--config", str(config), "--trials", "2", "--seed", "3",
+             "--out", out],
+            ["bound-verify", "--trials", "3", "--seed", "3", "--out", out],
+        ] + [_small_argv(command, tmp_path, out) for command in small]
+        assert _run_fresh(code, policy, json.dumps(runs)) == "done"
     names = sorted(p.name for p in (tmp_path / "on").iterdir())
-    assert {"cluster_exterior_beta.csv", "bound_reports.csv"} <= set(names)
+    assert {"cluster_exterior_beta.csv", "bound_reports.csv", "table1_trials.csv",
+            "probe_quantiles.csv", "sandwich.csv", "lowrank.csv"} <= set(names)
     assert names == sorted(p.name for p in (tmp_path / "off").iterdir())
     for name in names:
         assert (tmp_path / "on" / name).read_bytes() == (tmp_path / "off" / name).read_bytes(), name
@@ -445,7 +506,7 @@ def test_cli_rerun_byte_identical(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "command", ["bound-verify", "sandwich", "table1", "lowrank", "cluster-robustness"]
+    "command", ["bound-verify", "sandwich", "table1", "lowrank", "cluster-robustness", "probe"]
 )
 def test_cli_csv_bytes_independent_of_blas_threads(tmp_path, command):
     # fresh processes, because OpenBLAS reads its thread count at load time
@@ -468,12 +529,16 @@ def test_cli_csv_bytes_independent_of_blas_threads(tmp_path, command):
     assert outputs[0] == outputs[1]
 
 
-def test_cli_output_independent_of_out_dir(tmp_path):
+@pytest.mark.parametrize("command", sorted(rsbl.cli._COMMANDS))
+def test_cli_output_independent_of_out_dir(tmp_path, command):
     # stream derivation must not see presentation fields like out_dir
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["bound-verify", "--trials", "2", "--out", str(out1)]) == 0
-    assert main(["bound-verify", "--trials", "2", "--out", str(out2)]) == 0
-    assert (out1 / "bound_reports.csv").read_bytes() == (out2 / "bound_reports.csv").read_bytes()
+    out1, out2 = tmp_path / "a", tmp_path / "b" / "nested"
+    assert main(_small_argv(command, tmp_path, out1)) == 0
+    assert main(_small_argv(command, tmp_path, out2)) == 0
+    names = sorted(p.name for p in out1.iterdir())
+    assert names and names == sorted(p.name for p in out2.iterdir())
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 # Canonical keys of the benchmark's three configs at seed 1, as its runner

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -189,6 +191,19 @@ def test_qr_one_column_out_of_range_takes_the_fallback(monkeypatch, scale):
     assert abs(np.linalg.norm(q) - 1.0) <= 1e-15
     assert r[0, 0] > 0.0
     assert np.allclose(q * r[0, 0], m, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+def test_qr_extreme_scales_factor_without_warnings(b, scale):
+    # the Gram product or the estimate overflows (1e160), or inv(R1)'s norm
+    # does (1e-160, b = 3); the fallback factors these inputs, warning-free
+    m = np.random.default_rng(42).standard_normal((20, b)) * scale
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, r = qr_factor(m)
+    assert np.linalg.norm(q.T @ q - np.eye(b), 2) <= 1e-14
+    assert np.linalg.norm(q @ r - m, 2) <= 1e-14 * np.linalg.norm(m, 2)
 
 
 def test_qr_rank_gate_trips_past_the_fallback():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,11 +55,48 @@ def make_spec(rng, b, d, m=16):
     )
 
 
-def test_cluster_spec_validation():
-    with pytest.raises(ValueError):  # perp value inside the cluster interval
-        ClusterSpec(4, 1, 2, (np.array([1.0]), np.array([2.0])), np.array([1.5, 3.0]), 1.0, 2.0)
-    with pytest.raises(ValueError):  # zero relgap
-        ClusterSpec(4, 1, 2, (np.array([1.0]), np.array([1.0])), np.array([3.0, 4.0]), 0.0, 2.0)
+def _tiny_spec(n=4, b=1, d=2, blocks=((1.0,), (2.0,)), perp=(4.0, 5.0), lo=0.0, hi=3.0):
+    return ClusterSpec(n, b, d, tuple(map(np.array, blocks)), np.array(perp), lo, hi)
+
+
+# each input check of ClusterSpec and the robustness entry points: an input
+# that trips it, and its message
+INPUT_CHECKS = {
+    "block-count": (lambda: _tiny_spec(blocks=((1.0,),)), "need d cluster blocks of size b"),
+    "perp-size": (lambda: _tiny_spec(perp=(4.0,)), "lambda_perp must have n - b*d entries"),
+    "non-finite": (lambda: _tiny_spec(perp=(4.0, math.nan)), "spectrum contains non-finite"),
+    "interval-order": (lambda: _tiny_spec(lo=3.0, hi=0.0), "endpoints out of order"),
+    "block-outside": (lambda: _tiny_spec(hi=1.5), "cluster blocks must lie inside"),
+    "perp-inside": (lambda: _tiny_spec(perp=(1.5, 4.0)), "lambda_perp entries must lie outside"),
+    "zero-relgap": (lambda: _tiny_spec(blocks=((1.0,), (1.0,))), "relgap must be positive"),
+    "omega-shape": (lambda: _tiny_spec().omega_blocks(np.ones((3, 1))), "Omega must be 4 x 1"),
+    "block-partition": (
+        lambda: _tiny_spec(n=5, b=2, blocks=((1.0, 1.1), (2.0, 2.1)), perp=(4.0,)).block_count(),
+        "n must be a multiple of b",
+    ),
+    "krylov-steps": (
+        lambda: tan_angle_krylov(_tiny_spec(), np.ones((4, 1)), 1),
+        "need at least d block steps",
+    ),
+    "no-tail-block": (
+        lambda: c_omega(_tiny_spec(n=2, perp=()), np.ones((2, 1))),
+        "need at least one out-of-cluster block (m > d)",
+    ),
+    "empty-grid": (
+        lambda: growth_Gd(_tiny_spec(n=2, perp=(), lo=1.0, hi=2.0), None),
+        "no sample points outside the cluster interval",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", INPUT_CHECKS)
+def test_cluster_spec_validation(check):
+    trip, message = INPUT_CHECKS[check]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        trip()
+
+
+def test_cluster_spec_fields():
     spec = ClusterSpec(
         4, 1, 2, (np.array([1.0]), np.array([1.0])), np.array([3.0, 4.0]), 0.0, 2.0,
         allow_zero_relgap=True,
