@@ -121,9 +121,6 @@ class BlockKrylovBasis:
     ``||remainder @ y[-b:]|| = ||R y[-b:]||`` is the Ritz residual norm.
     """
 
-    n: int
-    b: int
-    steps: int
     V: np.ndarray
     T: np.ndarray
     remainder: np.ndarray
@@ -147,14 +144,20 @@ class _Process:
     ``beta[k]`` the R factor coupling block ``k`` to block ``k - 1``
     (``beta[0]`` stays zero). ``tridiagonal()`` assembles the dense ``T``
     only when a caller reads it.
+
+    ``capacity`` block steps fit in the buffers, and no more: a step beyond
+    them fails on the basis write.
     """
 
     def __init__(self, op: LinearOperator, omega: np.ndarray, capacity: int):
+        if capacity < 1:
+            raise ValueError("steps must be >= 1")
+        if omega.shape[1] * capacity > op.n:
+            raise ValueError("requested subspace exceeds the operator dimension")
         if omega.shape[0] != op.n:
             raise ValueError("initial block row count must match the operator")
         self.op = op
         self.n, self.b = omega.shape
-        self.capacity = capacity
         try:
             q0, _ = qr_factor(omega)
         except RankDeficientError as exc:
@@ -169,8 +172,6 @@ class _Process:
 
     def advance(self):
         """Run one block step: extend the basis (from step 1 on), then project."""
-        if self.steps >= self.capacity:
-            raise ValueError("process capacity exhausted")
         if self.steps > 0:
             self.extend()
         self.project()
@@ -343,15 +344,6 @@ def _windows(targets: np.ndarray, width: float) -> tuple[np.ndarray, np.ndarray]
     return np.column_stack([lo[first], hi[last]]).ravel(), last - first + 1
 
 
-def _start(op: LinearOperator, omega, steps: int) -> _Process:
-    omega = as_matrix(omega, "Omega")
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if omega.shape[1] * steps > op.n:
-        raise ValueError("requested subspace exceeds the operator dimension")
-    return _Process(op, omega, capacity=steps)
-
-
 def block_lanczos(op: LinearOperator, omega, steps: int) -> BlockKrylovBasis:
     """Run ``steps`` block Lanczos steps with full reorthogonalization.
 
@@ -364,14 +356,11 @@ def block_lanczos(op: LinearOperator, omega, steps: int) -> BlockKrylovBasis:
     steps:
         Number of block steps; ``b * steps <= n`` is required.
     """
-    proc = _start(op, omega, steps)
+    proc = _Process(op, as_matrix(omega, "Omega"), capacity=steps)
     for _ in range(steps):
         proc.advance()
     # capacity == steps, so the basis buffer is exactly full
-    return BlockKrylovBasis(
-        n=proc.n, b=proc.b, steps=steps, V=proc.Vt.T, T=proc.tridiagonal(),
-        remainder=proc.remainder,
-    )
+    return BlockKrylovBasis(V=proc.Vt.T, T=proc.tridiagonal(), remainder=proc.remainder)
 
 
 def krylov_basis(op: LinearOperator, omega, steps: int) -> np.ndarray:
@@ -382,7 +371,7 @@ def krylov_basis(op: LinearOperator, omega, steps: int) -> np.ndarray:
     increases by exactly ``b * (steps - 1)``. Breakdowns raise the same
     :class:`BreakdownError` at the same step.
     """
-    proc = _start(op, omega, steps)
+    proc = _Process(op, as_matrix(omega, "Omega"), capacity=steps)
     for _ in range(steps - 1):
         proc.advance()
     if steps > 1:
@@ -392,7 +381,7 @@ def krylov_basis(op: LinearOperator, omega, steps: int) -> np.ndarray:
 
 def rayleigh_ritz(basis: BlockKrylovBasis, how_many: int) -> RitzSet:
     """Extract the ``how_many`` largest Ritz pairs and lift them through the basis."""
-    dim = basis.b * basis.steps
+    dim = basis.V.shape[1]
     if not 1 <= how_many <= dim:
         raise ValueError(f"how_many must be in [1, {dim}]")
     values, vectors = np.linalg.eigh(basis.T)

@@ -4,8 +4,9 @@
 the benchmark pins in ``perfbench/workloads.py``, and ``probe``,
 ``sandwich`` and ``lowrank`` at small trial counts, all at seed 1 and in
 one process. The bytes are promised only on one environment key (numpy
-version, BLAS build, CPU model), which ``golden_digests.txt`` records; on
-another key the test skips and prints both keys.
+version, BLAS build, CPU model and vector-unit flags), which
+``golden_digests.txt`` records; on another key the test skips and prints
+both keys.
 
 A change that moves digits regenerates the file in the same commit, with
 the command on its first line, and says which files moved and why.
@@ -34,20 +35,34 @@ SMALL_RUNS = {
 }
 
 
-def _cpu_model() -> str:
+def _cpu() -> tuple[str, str]:
+    """The CPU model name and its sorted ``avx*`` / ``fma*`` flags.
+
+    A generic model name such as "Intel(R) Xeon(R) Processor" can cover
+    several vector units, and OpenBLAS built with ``DYNAMIC_ARCH`` picks its
+    kernels from these flags at run time, so they are part of the key.
+    """
+    model, flags = None, []
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
             for line in fh:
-                if line.startswith("model name"):
-                    return line.split(":", 1)[1].strip()
+                if model is None and line.startswith("model name"):
+                    model = line.split(":", 1)[1].strip()
+                elif not flags and line.startswith("flags"):
+                    flags = line.split(":", 1)[1].split()
     except OSError:
         pass
-    return platform.processor() or platform.machine()
+    vector = " ".join(sorted(f for f in flags if f.startswith(("avx", "fma"))))
+    return model or platform.processor() or platform.machine(), vector
 
 
 def environment_key() -> str:
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return f"numpy {np.__version__}; blas {blas['name']} {blas['version']}; cpu {_cpu_model()}"
+    model, flags = _cpu()
+    return (
+        f"numpy {np.__version__}; blas {blas['name']} {blas['version']}; cpu {model}; "
+        f"cpu flags {flags}"
+    )
 
 
 def output_digests(work: Path) -> dict:
@@ -98,6 +113,24 @@ def test_output_digests_match_golden(tmp_path, monkeypatch, capsys):
     assert len(golden) == 11
     moved = sorted(n for n in golden.keys() | digests.keys() if golden.get(n) != digests.get(n))
     assert not moved, f"bytes moved in {moved}; if intended, regenerate: {REGENERATE}"
+
+
+def test_key_differing_only_in_cpu_flags_skips(tmp_path, monkeypatch, capsys):
+    # a host with the same model name but other vector units runs other
+    # OpenBLAS kernels: the golden test must skip there, not fail
+    model, flags = _cpu()
+    other = "avx avx2 fma" if flags != "avx avx2 fma" else "avx"
+    here = environment_key()
+    monkeypatch.setattr(sys.modules[__name__], "_cpu", lambda: (model, other))
+    assert environment_key() != here
+    assert environment_key().replace(f"cpu flags {other}", f"cpu flags {flags}") == here
+
+    def must_not_run(work):
+        raise AssertionError("digests computed under a foreign key")
+
+    monkeypatch.setattr(sys.modules[__name__], "output_digests", must_not_run)
+    with pytest.raises(pytest.skip.Exception, match="cpu flags"):
+        test_output_digests_match_golden(tmp_path, monkeypatch, capsys)
 
 
 if __name__ == "__main__":

@@ -178,6 +178,26 @@ def test_krylov_basis_matches_block_lanczos_bitwise(b):
         assert op.matvec_count == b * (steps - 1)
 
 
+@pytest.mark.parametrize("build", [block_lanczos, krylov_basis])
+@pytest.mark.parametrize(
+    "b, steps, message",
+    [
+        (2, 0, "steps must be >= 1"),
+        (2, -1, "steps must be >= 1"),
+        (2, 6, "requested subspace exceeds the operator dimension"),
+        (1, 11, "requested subspace exceeds the operator dimension"),
+        (3, 4, "requested subspace exceeds the operator dimension"),
+    ],
+)
+def test_basis_builders_reject_bad_steps_before_the_first_matvec(build, b, steps, message):
+    # n = 10; the oversize requests ask for b * steps = 12, 11 and 12 columns
+    op = diag_operator(np.linspace(1.0, 2.0, 10))
+    omega = gaussian_matrix(10, b, RngStream(19, b))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(op, omega, steps)
+    assert op.matvec_count == 0
+
+
 @pytest.mark.parametrize(
     "values, b, seed, steps",
     [

@@ -50,6 +50,23 @@ def test_counted_methods_drive_the_counters(monkeypatch):
     assert calls["ritz_values"] >= 1
 
 
+def test_process_exposes_sizes_to_the_step_hook(monkeypatch):
+    # the traced benchmark's block-step hook reads n, b and steps off the
+    # process after each advance to count lanczos.reorth_flop
+    lanczos = rsbl.lanczos
+    seen = []
+    original = lanczos._Process.advance
+
+    def hooked(self):
+        original(self)
+        seen.append((self.n, self.b, self.steps))
+
+    monkeypatch.setattr(lanczos._Process, "advance", hooked)
+    op = lanczos.LinearOperator.from_diagonal(np.linspace(-1.0, 1.0, 20))
+    lanczos.block_lanczos(op, gaussian_matrix(20, 2, RngStream(0)), 3)
+    assert seen == [(20, 2, 1), (20, 2, 2), (20, 2, 3)]
+
+
 def test_breakdown_error_exported():
     assert issubclass(rsbl.BreakdownError, Exception)
 
