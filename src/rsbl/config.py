@@ -45,29 +45,24 @@ class ExperimentConfig:
         self.d_list = tuple(int(v) for v in self.d_list)
         self.beta_list = tuple(float(v) for v in self.beta_list)
         self.alpha_list = tuple(float(v) for v in self.alpha_list)
-        self.validate()
-
-    def validate(self):
-        if self.n < 1 or self.nrows < 1 or self.grid_size < 2:
-            raise ValueError("counts must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        least_values = dict(n=1, nrows=1, grid_size=2, trials=1, seed=0, cluster_dim=1, ell=1)
+        for name, least in least_values.items():
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         for name in ("b_list", "d_list", "beta_list"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
-        if any(v < 1 for v in self.b_list + self.d_list):
-            raise ValueError("block sizes and depths must be positive")
-        if self.cluster_dim < 1 or self.ell < 1:
-            raise ValueError("cluster_dim and ell must be >= 1")
+        for name in ("b_list", "d_list"):
+            for i, v in enumerate(getattr(self, name)):
+                if v < 1:
+                    raise ValueError(f"{name}[{i}] must be >= 1, got {v}")
         # written so that NaN fails both checks too
         if not 0.0 < self.tol < math.inf:
             raise ValueError(f"tol must be finite and positive, got {self.tol!r}")
         if not 0.0 <= self.eps < math.inf:
             raise ValueError(f"eps must be finite and nonnegative, got {self.eps!r}")
         if self.variant not in ("exterior", "interior", "both"):
-            raise ValueError("variant must be 'exterior', 'interior' or 'both'")
+            raise ValueError(f"variant must be exterior, interior or both, got {self.variant!r}")
 
     def to_text(self) -> str:
         lines = []

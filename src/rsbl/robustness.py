@@ -113,17 +113,14 @@ class ClusterSpec:
     def operator(self) -> LinearOperator:
         return LinearOperator.from_diagonal(self.spectrum())
 
-    def block_count(self) -> int:
-        if self.n % self.b != 0:
-            raise ValueError("n must be a multiple of b for the block partition")
-        return self.n // self.b
-
     def omega_blocks(self, omega) -> np.ndarray:
         """The ``(m, b, b)`` partition blocks of Omega, a view of its rows."""
         omega = as_matrix(omega, "Omega")
         if omega.shape != (self.n, self.b):
             raise ValueError(f"Omega must be {self.n} x {self.b}")
-        return omega.reshape(self.block_count(), self.b, self.b)
+        if self.n % self.b != 0:
+            raise ValueError("n must be a multiple of b for the block partition")
+        return omega.reshape(-1, self.b, self.b)
 
 
 def tan_angle_krylov(spec: ClusterSpec, omega, steps: int) -> float:
@@ -230,10 +227,8 @@ def outside_grid(spec: ClusterSpec, grid_size: int = 1000) -> np.ndarray:
     total = sum(b - a for a, b in segments)
     pts = [spec.lambda_perp]
     for a, b_end in segments:
-        count = max(2, int(round(grid_size * (b_end - a) / total))) if total > 0 else 0
-        if count:
-            pts.append(np.linspace(a, b_end, count))
-    cand = np.concatenate(pts) if pts else np.empty(0)
+        pts.append(np.linspace(a, b_end, max(2, int(round(grid_size * (b_end - a) / total)))))
+    cand = np.concatenate(pts)
     return cand[(cand < lo) | (cand > hi)]
 
 
@@ -250,7 +245,10 @@ def growth_Gd(spec: ClusterSpec, chains: SolventChains, grid_size: int = 1000) -
 
 @dataclass(frozen=True)
 class RobustnessReport:
-    """Per-trial record of the structural-bound experiment."""
+    """Per-trial record of the structural-bound experiment.
+
+    The fields are the columns of ``bound_reports.csv`` after ``b, d, trial``, in order.
+    """
 
     tan_angle_krylov: float
     tan_angle_vandermonde: float
@@ -359,14 +357,11 @@ class ExperimentFamily:
         count = 12 if self.sweep == "beta" else 10
         return tuple(2.0 ** -i for i in range(1, count + 1))
 
-    def alpha_beta(self, value: float) -> tuple[float, float]:
-        return (1.0, value) if self.sweep == "beta" else (value, 1e-4)
-
     def spec_for(self, d: int, value: float) -> ClusterSpec:
         if self.cluster_dim % d != 0:
             raise ValueError(f"cluster dimension {self.cluster_dim} not divisible by d={d}")
         b = self.cluster_dim // d
-        alpha, beta = self.alpha_beta(value)
+        alpha, beta = (1.0, value) if self.sweep == "beta" else (value, 1e-4)
         blocks = tuple(
             np.linspace(
                 (alpha * k + beta * (k - 1)) / self.cluster_dim,
@@ -396,7 +391,10 @@ class ExperimentFamily:
 
 @dataclass(frozen=True)
 class QuantileSummary:
-    """Median and quartiles of the measured angle for one sweep configuration."""
+    """Median and quartiles of the measured angle for one sweep configuration.
+
+    The fields are the columns of a ``cluster_*.csv`` row, in order.
+    """
 
     d: int
     sweep_value: float

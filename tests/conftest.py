@@ -1,9 +1,4 @@
-import sys
-from pathlib import Path
-
 from rsbl.cli import _set_allocator_policy
-
-sys.path.insert(0, str(Path(__file__).parent))
 
 
 def pytest_configure(config):

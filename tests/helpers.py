@@ -9,8 +9,8 @@ chain of solvents; the brute-force block Vandermonde solve
 returns), the one-node-at-a-time chain recurrence, the growth-inequality
 check and the Chebyshev depth reference live here as the oracles that
 check it. So do the test-only helpers the
-package itself never calls (the symmetric eigensolver, the dense operator
-and the operator symmetry spot-check).
+package itself never calls (the dense operator and the operator symmetry
+spot-check).
 """
 import importlib
 import math
@@ -33,23 +33,6 @@ from rsbl.matpoly import (
     solvent_chain,
 )
 from rsbl.robustness import ClusterSpec, _tangent_from_basis
-
-
-class NotSymmetricError(Exception):
-    """Input to the symmetric eigensolver failed the symmetry test."""
-
-
-def sym_eig(s) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric matrix: ascending values, orthonormal vectors."""
-    s = as_matrix(s)
-    if s.shape[0] != s.shape[1]:
-        raise ValueError("sym_eig requires a square matrix")
-    scale = spectral_norm(s)
-    defect = spectral_norm(s - s.T)
-    if defect > 1e-12 * scale:
-        raise NotSymmetricError(f"asymmetry {defect:.3e} exceeds 1e-12 * ||S||")
-    values, vectors = np.linalg.eigh(0.5 * (s + s.T))
-    return values, vectors
 
 
 def symmetry_defect(op, rng, probes: int = 3) -> float:

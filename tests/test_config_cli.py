@@ -20,14 +20,19 @@ from helpers import import_perfbench
 from rsbl.cli import build_parser, main, resolve_config
 from rsbl.config import ExperimentConfig, derive_stream_id
 from rsbl.experiments import (
+    RunResult,
+    _matvecs_for_cell,
     fit_loglog,
     format_number,
+    run_bound_verify,
     run_probe,
     run_sandwich,
+    run_table1,
     write_csv,
     write_outputs,
 )
-from rsbl.linalg import RngStream
+from rsbl.lanczos import BreakdownError, NoConvergenceError
+from rsbl.linalg import RngStream, gaussian_matrix
 
 # one small run of each command: the config keys that shrink its defaults
 SMALL_CONFIGS = {
@@ -101,7 +106,7 @@ def test_config_rejects_eps_not_finite_nonnegative(eps):
 
 @pytest.mark.parametrize("key", ["cluster_dim", "ell"])
 def test_config_rejects_cluster_dim_and_ell_below_one(key):
-    with pytest.raises(ValueError, match="cluster_dim and ell must be >= 1"):
+    with pytest.raises(ValueError, match=f"^{key} must be >= 1, got 0$"):
         ExperimentConfig(**{key: 0})
     assert getattr(ExperimentConfig(**{key: 1}), key) == 1
 
@@ -131,6 +136,23 @@ def test_config_rejects_empty_lists(tmp_path, key):
         main(["bound-verify", "--config", str(path), "--out", str(tmp_path)])
     assert not any(tmp_path.glob("*.csv"))
     assert ExperimentConfig(alpha_list=()).alpha_list == ()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("grid_size = 1\n", "^grid_size must be >= 2, got 1$"),
+        ("n = 0\n", "^n must be >= 1, got 0$"),
+        ("nrows = -3\n", "^nrows must be >= 1, got -3$"),
+        ("b_list = 2, 0, 4\n", r"^b_list\[1\] must be >= 1, got 0$"),
+        ("d_list = -1\n", r"^d_list\[0\] must be >= 1, got -1$"),
+        ("variant = inner\n", "^variant must be exterior, interior or both, got 'inner'$"),
+        ("n = 10\nn: 20\n", "^line 2: expected 'key = value', got 'n: 20'$"),
+    ],
+)
+def test_config_errors_name_the_key_and_value(text, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig.from_text(text)
 
 
 _SAFE_TEXT = st.text(alphabet=string.ascii_letters + string.digits + "_-./", max_size=12)
@@ -201,6 +223,112 @@ def test_fit_loglog_recovers_slope():
     ys_sat[-1] = ys[-1] * 100.0
     slope_sat, _, _ = fit_loglog(xs, ys_sat)
     assert slope_sat == pytest.approx(-2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("ys", [[1.0, math.inf, math.nan], [0.0, -1.0, 2.0], [math.inf] * 3])
+def test_fit_loglog_needs_two_finite_points(ys):
+    # fewer than two finite positive medians leave no line to fit
+    assert all(math.isnan(v) for v in fit_loglog([1.0, 2.0, 4.0], ys))
+
+
+def test_table1_cell_resamples_after_a_breakdown(monkeypatch):
+    # a breakdown reruns the trial on its next stream, trial * 101 + retry
+    config = ExperimentConfig(experiment="table1", n=100, trials=2, seed=5)
+    real = rsbl.experiments.run_until_converged
+    expected = _matvecs_for_cell(config, 1.0, 2)
+    omegas = []
+
+    def first_run_breaks_down(op, omega, targets, **kwargs):
+        omegas.append(omega)
+        if len(omegas) == 1:
+            raise BreakdownError(3)
+        return real(op, omega, targets, **kwargs)
+
+    monkeypatch.setattr(rsbl.experiments, "run_until_converged", first_run_breaks_down)
+    counts = _matvecs_for_cell(config, 1.0, 2)
+    key = config.canonical_key("table1", "beta=1.0", "b=2")
+    retry = gaussian_matrix(100, 2, RngStream(5, derive_stream_id(key, 1)))
+    assert len(omegas) == 3 and np.array_equal(omegas[1], retry)
+    assert counts[0] > 0 and counts[1] == expected[1]
+
+
+def test_table1_cell_records_no_convergence_as_minus_one(monkeypatch):
+    # an exhausted budget is final: no retry, and the count reads -1
+    calls = []
+
+    def never_converges(op, omega, targets, **kwargs):
+        calls.append(omega.shape)
+        raise NoConvergenceError(kwargs["max_matvecs"])
+
+    monkeypatch.setattr(rsbl.experiments, "run_until_converged", never_converges)
+    config = ExperimentConfig(experiment="table1", n=100, trials=3)
+    assert _matvecs_for_cell(config, 1.0, 2) == [-1, -1, -1]
+    assert calls == [(100, 2)] * 3
+
+
+def test_table1_records_a_cell_that_did_not_converge(monkeypatch):
+    real = rsbl.experiments.run_until_converged
+
+    def b2_never_converges(op, omega, targets, **kwargs):
+        if omega.shape[1] == 2:
+            raise NoConvergenceError(kwargs["max_matvecs"])
+        return real(op, omega, targets, **kwargs)
+
+    monkeypatch.setattr(rsbl.experiments, "run_until_converged", b2_never_converges)
+    config = ExperimentConfig(experiment="table1", n=100, b_list=(1, 2), beta_list=(1.0,), trials=2)
+    result = run_table1(config)
+    assert result.failures == [{"check": "table1-convergence", "beta": 1.0, "b": 2}]
+    (_, _, trials), (_, _, summary) = result.outputs
+    assert [row[3] for row in trials[2:]] == [-1, -1]
+    assert summary[1][:3] == (1.0, 2, -1) and math.isnan(summary[1][3])
+
+
+def test_bound_verify_records_a_trial_whose_bound_fails(monkeypatch):
+    real = rsbl.experiments.structural_bound_trial
+    reports = []
+
+    def second_trial_fails(spec, *args, **kwargs):
+        reports.append(real(spec, *args, **kwargs))
+        return dataclasses.replace(reports[-1], bound_holds=len(reports) != 2)
+
+    monkeypatch.setattr(rsbl.experiments, "structural_bound_trial", second_trial_fails)
+    config = ExperimentConfig(
+        experiment="bound-verify", b_list=(1,), d_list=(2,), trials=3, grid_size=100
+    )
+    result = run_bound_verify(config)
+    assert result.failures == [{"check": "bound-holds", "b": 1, "d": 2, "trial": 1}]
+    (_, header, rows), (_, _, summary) = result.outputs
+    assert [dict(zip(header, row))["bound_holds"] for row in rows] == [True, False, True]
+    assert rows[0] == (1, 2, 0, *dataclasses.astuple(reports[0]))
+    assert dict(summary)["trials"] == 3 and dict(summary)["holds_rate"] == 2 / 3
+    assert result.console == "structural bound held in 2/3 trials (rate 0.6667)"
+
+
+def test_sandwich_records_a_trial_whose_bound_fails(monkeypatch):
+    real = rsbl.experiments.sandwich_d2
+    calls = []
+
+    def second_trial_fails(b1, b2):
+        lower, middle, upper, ok = real(b1, b2)
+        calls.append(ok)
+        return lower, middle, upper, ok and len(calls) != 2
+
+    monkeypatch.setattr(rsbl.experiments, "sandwich_d2", second_trial_fails)
+    result = run_sandwich(ExperimentConfig(experiment="sandwich", b_list=(1, 2), trials=3))
+    assert calls == [True] * 3
+    assert result.failures == [{"check": "sandwich", "trial": 1}]
+    assert [row[-1] for row in result.outputs[0][2]] == [True, False, True]
+    assert result.console == "sandwich bound held in 2/3 trials"
+
+
+def test_cli_failure_exits_1_with_a_json_summary_on_stderr(tmp_path, monkeypatch, capsys):
+    # the files are still written; the summary names the command and each failed check
+    failed = RunResult(outputs=[("x.csv", ("a",), [(1,)])], failures=[{"check": "stub", "trial": 3}])
+    monkeypatch.setitem(rsbl.cli._COMMANDS, "sandwich", lambda config: failed)
+    assert main(["sandwich", "--out", str(tmp_path)]) == 1
+    summary = json.loads(capsys.readouterr().err)
+    assert summary == {"command": "sandwich", "failures": [{"check": "stub", "trial": 3}]}
+    assert (tmp_path / "x.csv").read_text() == "a\n1\n"
 
 
 def test_sandwich_runner_deterministic(tmp_path):

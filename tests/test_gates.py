@@ -7,13 +7,23 @@ smallest-to-largest ratio sits a relative ``MARGIN`` below or above
 ``rtol``: a computed SVD need not return a diagonal matrix's entries
 exactly, so the draws keep off the threshold itself. The inclusive edge is
 drawn exactly where it is exact, on all-zero matrices (``0 <= rtol * 0``).
+The QR rank gate and the sentinel's pivot gate also get an exact edge, on
+diagonal input: LAPACK's reflector for a column with a zero tail is the
+identity, so their QR, SVD and ``eigvalsh`` return its entries unchanged.
 """
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rsbl.linalg import SingularMatrixError, gated_svals
+from rsbl.lanczos import PIVOT_RTOL, _Sentinel
+from rsbl.linalg import (
+    RankDeficientError,
+    SingularMatrixError,
+    _householder_qr,
+    gated_svals,
+    qr_factor,
+)
 from rsbl.matpoly import NodeSet
 from rsbl.robustness import ClusterSpec
 
@@ -175,3 +185,104 @@ def test_cluster_spec_trips_on_lambda_perp_in_the_closed_cluster_interval(args, 
     assert ClusterSpec(**{**args, "lambda_perp": outside}).lambda_perp[k] == outside[k]
     with pytest.raises(ValueError, match="lambda_perp entries must lie outside the cluster interval"):
         ClusterSpec(**{**args, "lambda_perp": inside})
+
+
+QR_RTOL = 1e-12  # _householder_qr's rank gate
+
+
+@st.composite
+def _qr_case(draw, side):
+    """``(m, smallest, largest)``: an m with orthogonal columns whose norm ratio sits on ``side``.
+
+    ``"edge"`` is a diagonal m whose smallest entry is exactly ``1e-12`` times its largest,
+    a power of two: Householder QR and the SVD then return its entries exactly.
+    """
+    cols = draw(st.integers(2, 5))
+    rows = cols + draw(st.integers(0, 3))
+    if side == "zero":
+        return np.zeros((rows, cols)), 0.0, 0.0
+    if side == "edge":
+        top = 2.0 ** draw(st.integers(-60, 60))
+        inner = [QR_RTOL ** draw(st.floats(0.0, 1.0)) for _ in range(cols - 2)]
+        values = top * np.array([1.0, QR_RTOL, *inner])[draw(st.permutations(range(cols)))]
+        return np.eye(rows, cols) * values, top * QR_RTOL, top
+    values = np.diagonal(_member(draw, cols, side, QR_RTOL))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rotation, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((rows, rows)))
+    return rotation[:, :cols] * values, np.abs(values).min(), np.abs(values).max()
+
+
+@PROPERTY
+@given(case=st.sampled_from(["below", "zero"]).flatmap(_qr_case))
+def test_qr_rank_gate_trips_below_1e12_times_norm(case):
+    # the gate: min |diag(R)| < 1e-12 * ||M||, or ||M|| = 0; qr_factor falls back to it
+    m, _, _ = case
+    with pytest.raises(RankDeficientError, match=r"diagonal of R below 1e-12 \* \|\|M\|\|"):
+        _householder_qr(m)
+    with pytest.raises(RankDeficientError, match=r"diagonal of R below 1e-12 \* \|\|M\|\|"):
+        qr_factor(m)
+
+
+@PROPERTY
+@given(case=st.sampled_from(["edge", "above"]).flatmap(_qr_case))
+def test_qr_rank_gate_passes_at_and_above_1e12_times_norm(case):
+    # the gate is strict: a smallest diagonal entry of exactly 1e-12 * ||M|| passes
+    m, smallest, largest = case
+    for q, r in (_householder_qr(m), qr_factor(m)):
+        diag = np.abs(np.diag(r))
+        np.testing.assert_allclose([diag.min(), diag.max()], [smallest, largest], rtol=1e-9)
+        assert np.linalg.norm(q @ r - m, 2) <= 1e-13 * largest
+
+
+@st.composite
+def _pivot_case(draw, b, side):
+    """``(alpha, shifts, lams)``: a first diagonal block and ascending shifts.
+
+    The smallest pivot eigenvalue ``|lam - s|`` sits on ``side`` of ``PIVOT_RTOL * scale``,
+    ``scale = max(1, max |lam|)``. ``"edge"`` puts it there exactly: a diagonal block with
+    ``|lam| <= 1`` and ``lam - s = +-1e-10``, both exact, so the pivots are exact.
+    """
+    count = draw(st.sampled_from([2, 4]))
+    if side == "edge":
+        lam0 = draw(st.floats(0.5e-10, 2e-10)) * draw(st.sampled_from([-1.0, 1.0]))
+        gated = lam0 - np.copysign(PIVOT_RTOL, lam0)
+        lams = np.array([lam0] + [draw(st.floats(-1.0, 1.0)) for _ in range(b - 1)])
+        far = [draw(st.floats(0.5, 5.0)) * draw(st.sampled_from([-1.0, 1.0]))
+               for _ in range(count - 1)]
+        return np.diag(lams), np.sort([gated, *far]), lams
+    lams = np.array([draw(st.floats(-100.0, 100.0)) for _ in range(b)])
+    scale = max(1.0, np.abs(lams).max())
+    ratio = PIVOT_RTOL * (1.0 - MARGIN)
+    if side == "above":
+        ratio = (PIVOT_RTOL * (1.0 + MARGIN)) ** draw(st.floats(0.5, 1.0))
+    gated = lams[0] - draw(st.sampled_from([-1.0, 1.0])) * ratio * scale
+    others = [draw(st.floats(-120.0, 120.0)) for _ in range(count - 1)]
+    shifts = np.sort([gated, *others])
+    if side == "above":
+        # no other eigenvalue and shift lie closer than the drawn pair
+        assume(np.abs(lams[:, None] - shifts).min() >= abs(lams[0] - gated))
+    angle = draw(st.floats(0.0, np.pi))
+    c, s = np.cos(angle), np.sin(angle)
+    q = np.array([[c, -s], [s, c]]) if b == 2 else np.ones((1, 1))
+    alpha = (q * lams) @ q.T
+    return 0.5 * (alpha + alpha.T), shifts, lams
+
+
+@PROPERTY
+@given(data=st.data(), b=st.sampled_from([1, 2]), side=st.sampled_from(["below", "edge"]))
+def test_sentinel_pivot_gate_trips_at_or_below_pivot_rtol(data, b, side):
+    # the gate: min |pivot eigenvalue| <= 1e-10 * max(1, ||alpha||) drops the sentinel
+    alpha, shifts, _ = data.draw(_pivot_case(b, side))
+    sentinel = _Sentinel(shifts, b)
+    assert sentinel.extend(alpha, np.zeros((b, b))) is False
+    assert sentinel.pivot is None and not sentinel.negatives.any()
+
+
+@PROPERTY
+@given(data=st.data(), b=st.sampled_from([1, 2]))
+def test_sentinel_pivot_gate_passes_above_pivot_rtol(data, b):
+    # every pivot eigenvalue above 1e-10 * max(1, ||alpha||): the block is counted
+    alpha, shifts, lams = data.draw(_pivot_case(b, "above"))
+    sentinel = _Sentinel(shifts, b)
+    assert sentinel.extend(alpha, np.zeros((b, b))) is True
+    assert sentinel.negatives.tolist() == (lams[:, None] < shifts).sum(axis=0).tolist()

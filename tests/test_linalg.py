@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import NotSymmetricError, cholesky_qr2, sym_eig
+from helpers import cholesky_qr2
 from rsbl import linalg
 from rsbl.linalg import (
     RankDeficientError,
@@ -209,34 +209,6 @@ def test_qr_extreme_scales_factor_without_warnings(b, scale):
 def test_qr_rank_gate_trips_past_the_fallback():
     with pytest.raises(RankDeficientError):
         qr_factor(_conditioned(1e13, last_alone=True))
-
-
-def test_sym_eig_diagonal():
-    values, _ = sym_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(values, [1.0, 2.0, 3.0])
-
-
-def test_sym_eig_analytic_2x2():
-    values, vectors = sym_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(values, [-1.0, 1.0])
-    assert np.allclose(vectors.T @ vectors, np.eye(2))
-
-
-def test_sym_eig_residual_and_trace():
-    rng = np.random.default_rng(3)
-    s = rng.standard_normal((20, 20))
-    s = s + s.T
-    values, vectors = sym_eig(s)
-    norm_s = np.linalg.norm(s, 2)
-    for lam, v in zip(values, vectors.T):
-        assert np.linalg.norm(s @ v - lam * v) <= 1e-11 * norm_s
-    assert np.all(np.diff(values) >= 0.0)
-    assert abs(values.sum() - np.trace(s)) <= 1e-12 * abs(np.trace(s)) + 1e-12
-
-
-def test_sym_eig_rejects_asymmetric():
-    with pytest.raises(NotSymmetricError):
-        sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_spectral_norm_cases():

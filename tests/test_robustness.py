@@ -71,7 +71,8 @@ INPUT_CHECKS = {
     "zero-relgap": (lambda: _tiny_spec(blocks=((1.0,), (1.0,))), "relgap must be positive"),
     "omega-shape": (lambda: _tiny_spec().omega_blocks(np.ones((3, 1))), "Omega must be 4 x 1"),
     "block-partition": (
-        lambda: _tiny_spec(n=5, b=2, blocks=((1.0, 1.1), (2.0, 2.1)), perp=(4.0,)).block_count(),
+        lambda: _tiny_spec(n=5, b=2, blocks=((1.0, 1.1), (2.0, 2.1)), perp=(4.0,))
+        .omega_blocks(np.ones((5, 2))),
         "n must be a multiple of b",
     ),
     "krylov-steps": (
@@ -442,6 +443,22 @@ def test_structural_bound_trials_hold():
             assert report.tan_angle_krylov == pytest.approx(
                 report.tan_angle_vandermonde, rel=1e-6
             )
+
+
+def test_structural_bound_trial_at_d1_has_unit_chi():
+    # one node has no chain to grow: both chi factors are 1 by definition
+    spec = make_spec(np.random.default_rng(24), 2, 1, m=8)
+    report = structural_bound_trial(spec, seed=25, grid_size=200)
+    assert (report.chi_mono, report.chi_coef) == (1.0, 1.0)
+    assert report.bound_holds and report.bound == report.c_omega * report.g_d
+
+
+def test_outside_grid_samples_both_segments():
+    # an interior cluster: the grid splits grid_size over [-1, 1) and (2, 5] by length
+    spec = _tiny_spec(perp=(-1.0, 5.0), lo=1.0, hi=2.0)
+    expected = np.concatenate([[-1.0, 5.0], np.linspace(-1.0, 1.0, 4)[:-1],
+                               np.linspace(2.0, 5.0, 6)[1:]])
+    assert np.array_equal(outside_grid(spec, 10), expected)
 
 
 # c_omega's gate is the only gate on the trailing blocks: it trips on both, the
