@@ -2,15 +2,6 @@
 
 from .lanczos import BreakdownError, NoConvergenceError
 from .linalg import RankDeficientError, SingularMatrixError
-from .matpoly import (
-    ChainBreakdownError,
-    DegenerateEndpointError,
-    DimensionMismatchError,
-)
-from .robustness import (
-    SingularBlockError,
-    SingularDifferenceError,
-    SingularKError,
-)
+from .matpoly import ChainBreakdownError
 
 __version__ = "0.1.0"

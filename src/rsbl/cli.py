@@ -3,16 +3,15 @@
 Usage::
 
     rsbl <command> [--config PATH] [--seed U64] [--trials N] [--out DIR]
-                   [--full]
 
 Commands: table1, cluster-robustness, bound-verify, probe, sandwich,
 lowrank. Flags override config-file values, and every key a config file
 sets overrides the built-in per-command default; ``RSBL_OUT`` sets the
-default output directory. ``--full`` runs cluster-robustness with 1000
-trials unless ``--trials`` is given; other commands ignore it. The
-exit code is 0 exactly when every hard assertion (holds rates at 100%,
-all cells converged) passed; on failure a machine-readable summary goes to
-standard error.
+default output directory. The exit code is 0 when every hard assertion
+(holds rates at 100%, all cells converged) passed and 1 when one failed,
+with a machine-readable summary on standard error. A bad command line or
+config (an unknown key, a bad value, an unreadable ``--config`` file)
+exits 2 with one line on standard error, before anything is written.
 """
 from __future__ import annotations
 
@@ -60,7 +59,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--trials", type=int, help="trial / seed count")
     parser.add_argument("--out", help="output directory (default: $RSBL_OUT or ./out)")
-    parser.add_argument("--full", action="store_true", help="full 1000-trial budget")
     return parser
 
 
@@ -75,8 +73,6 @@ def resolve_config(args) -> ExperimentConfig:
             values.update(ExperimentConfig.values_from_text(fh.read()))
     flags = {"seed": args.seed, "trials": args.trials, "out_dir": args.out or None}
     values.update((key, value) for key, value in flags.items() if value is not None)
-    if args.full and args.command == "cluster-robustness" and args.trials is None:
-        values["trials"] = 1000
     values["experiment"] = args.command
     return ExperimentConfig(**values)
 
@@ -101,8 +97,13 @@ def _set_allocator_policy() -> None:
 
 def main(argv=None) -> int:
     _set_allocator_policy()
-    args = build_parser().parse_args(argv)
-    config = resolve_config(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = resolve_config(args)
+    except (ValueError, OSError) as exc:
+        # one line, no usage block: the command line parsed, the config did not
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
     result = _COMMANDS[args.command](config)
     write_outputs(config.out_dir, result)
     if result.console:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -20,10 +20,10 @@ from .linalg import RngStream, gaussian_matrix
 from .robustness import (
     ClusterSpec,
     ExperimentFamily,
-    _quantile,
     conjecture_experiment,
     lowrank_check,
     probe_solvent_difference,
+    quantile,
     sandwich_d2,
     structural_bound_trial,
 )
@@ -294,7 +294,7 @@ def run_bound_verify(config: ExperimentConfig) -> RunResult:
         ("trials", len(rows)),
         ("holds_rate", rate),
         ("median_slackness",
-         _quantile(slack, 0.5) if slack.size and not np.isnan(slack).any() else math.nan),
+         quantile(slack, 0.5) if slack.size and not np.isnan(slack).any() else math.nan),
     ]
     result.outputs.append(("bound_summary.csv", ("metric", "value"), summary))
     result.console = f"structural bound held in {holds}/{len(rows)} trials (rate {rate:.4f})"
@@ -348,18 +348,7 @@ def run_lowrank(config: ExperimentConfig) -> RunResult:
     a_hat = (q_left * sigma) @ q_right.T
     b, d = config.b_list[0], config.d_list[0]
     report = lowrank_check(a_hat, b, d, config.ell, config.eps, rng)
-    rows = [
-        ("spectral_error", report.spectral_error),
-        ("frobenius_error", report.frobenius_error),
-        ("best_spectral", report.best_spectral),
-        ("best_frobenius", report.best_frobenius),
-        ("eps", report.eps),
-        ("spectral_within", report.spectral_within),
-        ("frobenius_within", report.frobenius_within),
-        ("rayleigh_threshold", report.rayleigh_threshold),
-        ("max_rayleigh_error", float(report.rayleigh_errors.max())),
-        ("rayleigh_within", report.rayleigh_within),
-    ]
+    rows = [(f.name, getattr(report, f.name)) for f in fields(report)]
     result.outputs.append(("lowrank.csv", ("metric", "value"), rows))
     result.console = "\n".join(f"{k}: {format_number(v)}" for k, v in rows)
     return result

@@ -157,19 +157,21 @@ def _householder_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return q, r
 
 
-def gated_svals(m, rtol: float, error=SingularMatrixError) -> np.ndarray:
+def gated_svals(m, rtol: float) -> np.ndarray:
     """Descending singular values of a matrix, or of each matrix of a ``(..., r, c)`` stack.
 
-    The one nonsingularity gate: raises ``error`` when any matrix has
-    ``smallest <= rtol * largest``, an inclusive rule that an all-zero
-    matrix also trips. Non-finite input raises ValueError.
+    The one nonsingularity gate: raises :class:`SingularMatrixError` when any
+    matrix has ``smallest <= rtol * largest``, an inclusive rule that an
+    all-zero matrix also trips. Non-finite input raises ValueError.
     """
     svals = np.linalg.svd(as_stack(m), compute_uv=False)
     top, low = svals[..., 0], svals[..., -1]
     singular = low <= rtol * top
     if singular.any():
         low, top = low[singular][0], top[singular][0]
-        raise error(f"smallest singular value {low:.3e} at or below {rtol:g} * largest ({top:.3e})")
+        raise SingularMatrixError(
+            f"smallest singular value {low:.3e} at or below {rtol:g} * largest ({top:.3e})"
+        )
     return svals
 
 

@@ -27,20 +27,12 @@ from .linalg import (
 )
 
 
-class DimensionMismatchError(Exception):
-    """Operand dimensions are incompatible with the block size."""
-
-
-class ChainBreakdownError(Exception):
+class ChainBreakdownError(SingularMatrixError):
     """A chain difference product became singular (degenerate draw; resample)."""
 
     def __init__(self, position: int):
         self.position = position
         super().__init__(f"chain breakdown at position {position}")
-
-
-class DegenerateEndpointError(Exception):
-    """An interval endpoint coincides with a full node spectrum."""
 
 
 def conjugate(omega, lam, rtol: float = 1e-14) -> np.ndarray:
@@ -96,7 +88,7 @@ class NodeSet:
             raise ValueError("need matching, nonempty spectra and eigenvector matrices")
         b = lams[0].size
         if any(l.size != b for l in lams) or any(np.shape(o) != (b, b) for o in self.omegas):
-            raise DimensionMismatchError("all nodes must share one block size")
+            raise ValueError("all nodes must share one block size")
         lams, oms = np.stack(lams), np.asarray(self.omegas, dtype=np.float64)
         if not np.isfinite(lams).all():
             raise ValueError("node spectrum contains non-finite entries")
@@ -127,7 +119,7 @@ def block_vandermonde(nodes, d: int | None = None) -> np.ndarray:
     mats = as_stack(nodes.bs if isinstance(nodes, NodeSet) else nodes, "Vandermonde nodes")
     b = mats.shape[-1]
     if mats.ndim != 3 or mats.shape[1] != b:
-        raise DimensionMismatchError("Vandermonde nodes must share one square size")
+        raise ValueError("Vandermonde nodes must share one square size")
     d = len(mats) if d is None else d
     powers = [np.broadcast_to(np.eye(b), mats.shape)]
     for _ in range(d - 1):
@@ -210,12 +202,9 @@ def fundamental_via_chain(chains: SolventChains, lam) -> np.ndarray:
     the last position down to 1, and then the inverse head are one stacked
     matmul: one (G*b, b) @ (b, b) GEMM per chain. ``I @ B == B`` exactly, so
     d = 1 needs no branch; a scalar call runs the same code on one point, so
-    every grid point equals it bit for bit. At b = d = 3, G = 1,062 (224 KiB
-    temporaries) a grid takes 200-290 us under the allocator thresholds
-    ``rsbl.cli.main`` fixes, against 230-410 us one chain at a time; a
-    library caller that keeps glibc's defaults gets fresh pages every call:
-    420-730 us and 136 minor faults, against 230-300 us (2-core Xeon VM, one
-    BLAS thread, CPU pinned).
+    every grid point equals it bit for bit. Its speed depends on the allocator
+    policy: ``rsbl.cli.main`` fixes glibc's thresholds, and a library caller
+    that keeps the defaults gets fresh pages on every call.
     """
     lam = np.asarray(lam, dtype=np.float64)
     if lam.ndim > 1:
@@ -254,7 +243,7 @@ def chi_quantities(nodes: NodeSet, chains: SolventChains, interval) -> tuple[flo
     dens = np.abs(ends - chains.lambdas[1:]).max(axis=-1)
     if (dens == 0.0).any():
         endpoint = ends.ravel()[np.nonzero(dens == 0.0)[0][0]]
-        raise DegenerateEndpointError(f"endpoint {endpoint} equals the full spectrum of a node")
+        raise ValueError(f"endpoint {endpoint} equals the full spectrum of a node")
     mats = ends[..., None] * np.eye(b) - chains.b_hats[1:]
     # one stacked norm: the endpoint companions first, then the inverse heads
     norms = spectral_norm(np.concatenate([mats.reshape(-1, b, b), chains.s_head_inv]))

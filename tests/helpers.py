@@ -23,7 +23,6 @@ import numpy as np
 from rsbl.lanczos import LinearOperator, NoConvergenceError, _Process, krylov_basis, match_targets
 from rsbl.linalg import SingularMatrixError, as_matrix, solve_linear, spectral_norm
 from rsbl.matpoly import (
-    DimensionMismatchError,
     NodeSet,
     block_vandermonde,
     chi_quantities,
@@ -182,7 +181,7 @@ class MatrixPolynomial:
         b = mats[0].shape[0]
         for c in mats:
             if c.shape != (b, b):
-                raise DimensionMismatchError("coefficient blocks must share one square size")
+                raise ValueError("coefficient blocks must share one square size")
         object.__setattr__(self, "coeffs", mats)
 
     @property
@@ -199,7 +198,7 @@ def eval_matrix(p: MatrixPolynomial, x) -> np.ndarray:
     x = as_matrix(x, "X")
     b = p.block_size
     if x.shape != (b, b):
-        raise DimensionMismatchError(f"X must be {b}x{b}, got {x.shape}")
+        raise ValueError(f"X must be {b}x{b}, got {x.shape}")
     acc = p.coeffs[-1]
     for c in p.coeffs[-2::-1]:
         acc = c + x @ acc

@@ -111,31 +111,61 @@ def test_config_rejects_cluster_dim_and_ell_below_one(key):
     assert getattr(ExperimentConfig(**{key: 1}), key) == 1
 
 
-def test_config_validation_reaches_config_files(tmp_path):
+def config_error(argv, capsys) -> str:
+    """The one stderr line of a ``main`` run that must exit 2 on its config."""
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("rsbl: error: ")
+    return captured.err
+
+
+def test_config_validation_reaches_config_files(tmp_path, capsys):
     path = tmp_path / "nan.cfg"
     path.write_text("tol = nan\n")
-    with pytest.raises(ValueError, match="tol"):
-        main(["table1", "--config", str(path), "--out", str(tmp_path)])
+    err = config_error(["table1", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert err == "rsbl: error: tol must be finite and positive, got nan\n"
 
 
-def test_config_rejects_negative_seed(tmp_path):
+def test_config_rejects_negative_seed(tmp_path, capsys):
     with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
         ExperimentConfig(seed=-1)
     assert ExperimentConfig(seed=0).seed == 0
-    with pytest.raises(ValueError, match="seed"):
-        main(["sandwich", "--seed", "-1", "--trials", "2", "--out", str(tmp_path)])
+    argv = ["sandwich", "--seed", "-1", "--trials", "2", "--out", str(tmp_path)]
+    assert config_error(argv, capsys) == "rsbl: error: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("key", ["b_list", "d_list", "beta_list"])
-def test_config_rejects_empty_lists(tmp_path, key):
+def test_config_rejects_empty_lists(tmp_path, capsys, key):
     with pytest.raises(ValueError, match=f"^{key} must not be empty$"):
         ExperimentConfig(**{key: ()})
     path = tmp_path / "empty.cfg"
     path.write_text(f"{key} =\n")
-    with pytest.raises(ValueError, match=key):
-        main(["bound-verify", "--config", str(path), "--out", str(tmp_path)])
+    err = config_error(["bound-verify", "--config", str(path), "--out", str(tmp_path)], capsys)
+    assert err == f"rsbl: error: {key} must not be empty\n"
     assert not any(tmp_path.glob("*.csv"))
     assert ExperimentConfig(alpha_list=()).alpha_list == ()
+
+
+@pytest.mark.parametrize(
+    "flags, config_text, message",
+    [
+        (["--trials", "0"], None, "trials must be >= 1, got 0"),
+        (["--config", "bad.cfg"], "bogus = 1\n", "unknown configuration key 'bogus'"),
+        (["--config", "missing.cfg"], None, "No such file or directory: 'missing.cfg'"),
+    ],
+)
+def test_cli_config_errors_exit_2_before_writing(tmp_path, monkeypatch, capsys, flags,
+                                                 config_text, message):
+    # exit 1 is a failed hard check; a config that cannot be built is exit 2
+    monkeypatch.chdir(tmp_path)
+    if config_text is not None:
+        (tmp_path / "bad.cfg").write_text(config_text)
+    err = config_error(["sandwich", *flags, "--out", "out"], capsys)
+    assert message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -774,13 +804,7 @@ def test_command_canonical_keys_pinned():
         assert resolve_config(build_parser().parse_args([command])).canonical_key() == expected
 
 
-def test_cli_full_flag_sets_cluster_trials():
-    def trials(*argv):
-        return resolve_config(build_parser().parse_args(argv)).trials
-
-    assert trials("cluster-robustness", "--full") == 1000
-    assert trials("cluster-robustness", "--full", "--trials", "7") == 7
-    assert trials("cluster-robustness") == 200
-    assert trials("bound-verify", "--full") == 20
+def test_cli_cluster_trials_default_and_unknown_flag():
+    assert resolve_config(build_parser().parse_args(["cluster-robustness"])).trials == 200
     with pytest.raises(SystemExit):
         build_parser().parse_args(["probe", "--quick"])

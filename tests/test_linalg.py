@@ -281,8 +281,8 @@ def test_gated_svals_is_inclusive_and_names_the_values():
     # an all-zero matrix trips the same rule, no separate zero check
     with pytest.raises(SingularMatrixError):
         gated_svals(np.zeros((2, 2)), 1e-14)
-    with pytest.raises(ZeroDivisionError, match="1e-12"):
-        gated_svals(np.diag([1.0, 1e-12]), 1e-12, ZeroDivisionError)
+    with pytest.raises(SingularMatrixError, match="1e-12"):
+        gated_svals(np.diag([1.0, 1e-12]), 1e-12)
     with pytest.raises(ValueError, match="NaN or Inf"):
         gated_svals(np.array([[np.nan, 0.0], [0.0, 1.0]]), 1e-14)
 

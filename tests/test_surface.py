@@ -71,6 +71,23 @@ def test_breakdown_error_exported():
     assert issubclass(rsbl.BreakdownError, Exception)
 
 
+def test_exported_exceptions_are_one_per_failure_kind():
+    # bound-verify resamples a degenerate draw on SingularMatrixError alone,
+    # so a chain breakdown must be one
+    exported = {
+        name for name, value in vars(rsbl).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    }
+    assert exported == {
+        "BreakdownError",
+        "ChainBreakdownError",
+        "NoConvergenceError",
+        "RankDeficientError",
+        "SingularMatrixError",
+    }
+    assert issubclass(rsbl.ChainBreakdownError, rsbl.SingularMatrixError)
+
+
 # Per workload: config keys that shrink its pinned config, and the trials one
 # run makes per --trials unit (table1 cells; cluster-robustness sweep points of
 # one variant, 48 beta and 30 alpha; bound-verify (b, d) pairs).
