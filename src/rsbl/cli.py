@@ -115,10 +115,3 @@ def main(argv=None) -> int:
         return 1
     return 0
 
-
-def entry():
-    raise SystemExit(main())
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

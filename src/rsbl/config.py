@@ -91,7 +91,7 @@ class ExperimentConfig:
         for key, value in values.items():
             if key not in known:
                 raise ValueError(f"unknown configuration key {key!r}")
-            kwargs[key] = _parse_value(value, getattr(cls, key))
+            kwargs[key] = _parse_value(key, value, getattr(cls, key))
         return kwargs
 
     def canonical_key(self, *extra) -> str:
@@ -110,19 +110,24 @@ def _format_value(value) -> str:
     return str(value)
 
 
-def _parse_value(text: str, default):
+def _parse_value(key: str, text: str, default):
     if isinstance(default, tuple):
         if not text:
             return ()
         items = [t.strip() for t in text.split(",") if t.strip()]
         elem = default[0] if default else 1.0
-        return tuple(_parse_scalar(t, elem) for t in items)
-    return _parse_scalar(text, default)
+        return tuple(_parse_scalar(f"{key}[{i}]", t, elem) for i, t in enumerate(items))
+    return _parse_scalar(key, text, default)
 
 
-def _parse_scalar(text: str, default):
-    if isinstance(default, int):
-        return int(text)
-    if isinstance(default, float):
-        return float(text)
-    return text
+_SCALAR_KINDS = {int: "an int", float: "a float"}
+
+
+def _parse_scalar(name: str, text: str, default):
+    kind = type(default)
+    if kind not in _SCALAR_KINDS:
+        return text
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name} must be {_SCALAR_KINDS[kind]}, got {text!r}") from None

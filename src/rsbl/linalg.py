@@ -216,9 +216,6 @@ def smallest_singular(m):
     return float(low) if m.ndim == 2 else low
 
 
-# No command calls this; the test suite's block Vandermonde oracle does. It
-# stays here because the benchmark in perfbench/ traces it by name, and
-# moves to the tests when that span is retired.
 def solve_linear(m, b) -> np.ndarray:
     """Solve ``M X = B`` for a square M, or for each M of a ``(..., n, n)`` stack.
 

@@ -108,19 +108,17 @@ class NodeSet:
         return self.lambdas.shape[0]
 
 
-def block_vandermonde(nodes, d: int | None = None) -> np.ndarray:
-    """Stack the block rows ``[I, B_i, ..., B_i^(d-1)]``, one per node ``B_i``.
+def block_vandermonde(nodes) -> np.ndarray:
+    """The square bd-by-bd block Vandermonde matrix, block rows ``[I, B_i, ..., B_i^(d-1)]``.
 
-    Accepts a :class:`NodeSet`, a sequence of square matrices or a
-    (count, b, b) stack. ``d`` defaults to the node count, which gives the
-    square bd-by-bd block Vandermonde matrix. The powers of all nodes are
-    taken as one batched product per degree.
+    Accepts a :class:`NodeSet`, a sequence of d square matrices or a
+    (d, b, b) stack. The powers of all nodes are taken as one batched
+    product per degree.
     """
     mats = as_stack(nodes.bs if isinstance(nodes, NodeSet) else nodes, "Vandermonde nodes")
-    b = mats.shape[-1]
+    d, b = len(mats), mats.shape[-1]
     if mats.ndim != 3 or mats.shape[1] != b:
         raise ValueError("Vandermonde nodes must share one square size")
-    d = len(mats) if d is None else d
     powers = [np.broadcast_to(np.eye(b), mats.shape)]
     for _ in range(d - 1):
         powers.append(powers[-1] @ mats)

@@ -25,6 +25,7 @@ from .linalg import (
     gaussian_matrix,
     max_spectral_norm,
     smallest_singular,
+    solve_linear,
     spectral_norm,
 )
 from .matpoly import (
@@ -148,34 +149,28 @@ def _tangent_from_basis(v: np.ndarray, bd: int) -> float:
     return spectral_norm(np.linalg.lstsq(v[:bd].T, v[bd:].T, rcond=None)[0])
 
 
-def _vandermonde_route(spec: ClusterSpec, blocks, nodes: NodeSet):
-    """Return ``(tangent, K)`` of the explicit factorization route."""
-    b, d = spec.b, spec.d
-    k_mat = (blocks[:d] @ block_vandermonde(nodes).reshape(d, b, b * d)).reshape(b * d, b * d)
-    tail = blocks[d:].reshape(-1, b)
-    k_perp = [tail]
-    for _ in range(d - 1):
-        k_perp.append(spec.lambda_perp[:, None] * k_perp[-1])
-    gated_svals(k_mat, 1e-14)
-    coeffs = np.linalg.solve(k_mat.T, np.hstack(k_perp).T)
-    return spectral_norm(coeffs.T), k_mat
-
-
-def tan_angle_vandermonde(spec: ClusterSpec, omega) -> float:
+def tan_angle_vandermonde(spec: ClusterSpec, blocks, nodes: NodeSet):
     """Tangent of the largest principal angle via the explicit factorization.
 
-    The Krylov matrix ``[Omega, A Omega, ..., A^(d-1) Omega]`` has block row
+    ``blocks`` are ``spec.omega_blocks(omega)`` and ``nodes`` the
+    :class:`NodeSet` of their d leading blocks. The Krylov matrix
+    ``[Omega, A Omega, ..., A^(d-1) Omega]`` has block row
     ``[Omega_j, L_j Omega_j, ..., L_j^(d-1) Omega_j]`` for partition block j
     with spectrum ``L_j``. Since ``Omega_j B_j^p = L_j^p Omega_j`` for the
     node ``B_j = inv(Omega_j) L_j Omega_j``, the leading rows factor as
     ``K = D * Van`` with D the block diagonal of the first d partition
     blocks and Van the block Vandermonde of the nodes; the trailing rows
-    ``K_perp`` are formed from ``lambda_perp`` directly, with no node. The
-    tangent is ``||K_perp @ inv(K)||``.
+    ``K_perp`` are formed from ``lambda_perp`` directly, with no node.
+    Returns ``(||K_perp @ inv(K)||, K)``; ``solve_linear`` gates ``K.T``,
+    whose singular values are K's, at ``1e-14``.
     """
-    blocks = spec.omega_blocks(omega)
-    nodes = NodeSet(spec.lambda_blocks, blocks[: spec.d])
-    return _vandermonde_route(spec, blocks, nodes)[0]
+    b, d = spec.b, spec.d
+    k_mat = (blocks[:d] @ block_vandermonde(nodes).reshape(d, b, b * d)).reshape(b * d, b * d)
+    k_perp = [blocks[d:].reshape(-1, b)]
+    for _ in range(d - 1):
+        k_perp.append(spec.lambda_perp[:, None] * k_perp[-1])
+    coeffs = solve_linear(k_mat.T, np.hstack(k_perp).T)
+    return spectral_norm(coeffs.T), k_mat
 
 
 def c_omega(spec: ClusterSpec, omega) -> float:
@@ -276,7 +271,7 @@ def structural_bound_trial(
             c_om = c_omega(spec, omega)
             nodes = NodeSet(spec.lambda_blocks, blocks[: spec.d])
             chains = solvent_chain(nodes)
-            tan_van, k_mat = _vandermonde_route(spec, blocks, nodes)
+            tan_van, k_mat = tan_angle_vandermonde(spec, blocks, nodes)
         except SingularMatrixError as exc:
             last_exc = exc
             continue
@@ -401,7 +396,6 @@ def conjecture_experiment(
     trials: int,
     master_seed: int,
     d_values=None,
-    sweep_values=None,
 ) -> list:
     """Monte Carlo sweep of the measured tangent over one experiment family.
 
@@ -414,7 +408,7 @@ def conjecture_experiment(
         raise ValueError("trials must be >= 1")
     summaries = []
     for d in tuple(d_values) if d_values is not None else family.d_values:
-        for value in tuple(sweep_values) if sweep_values is not None else family.sweep_values:
+        for value in family.sweep_values:
             spec = family.spec_for(d, value)
             key = (
                 f"cluster-robustness|{family.variant}|{family.sweep}"

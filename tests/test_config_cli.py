@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -155,6 +156,8 @@ def test_config_rejects_empty_lists(tmp_path, capsys, key):
         (["--trials", "0"], None, "trials must be >= 1, got 0"),
         (["--config", "bad.cfg"], "bogus = 1\n", "unknown configuration key 'bogus'"),
         (["--config", "missing.cfg"], None, "No such file or directory: 'missing.cfg'"),
+        (["--config", "bad.cfg"], "n = abc\n", "n must be an int, got 'abc'"),
+        (["--config", "bad.cfg"], "b_list = 1.5\n", "b_list[0] must be an int, got '1.5'"),
     ],
 )
 def test_cli_config_errors_exit_2_before_writing(tmp_path, monkeypatch, capsys, flags,
@@ -178,6 +181,11 @@ def test_cli_config_errors_exit_2_before_writing(tmp_path, monkeypatch, capsys, 
         ("d_list = -1\n", r"^d_list\[0\] must be >= 1, got -1$"),
         ("variant = inner\n", "^variant must be exterior, interior or both, got 'inner'$"),
         ("n = 10\nn: 20\n", "^line 2: expected 'key = value', got 'n: 20'$"),
+        ("n = abc\n", "^n must be an int, got 'abc'$"),
+        ("b_list = 1.5\n", r"^b_list\[0\] must be an int, got '1.5'$"),
+        ("d_list = 2, three\n", r"^d_list\[1\] must be an int, got 'three'$"),
+        ("tol = small\n", "^tol must be a float, got 'small'$"),
+        ("beta_list = 1.0, 1e-2, x\n", r"^beta_list\[2\] must be a float, got 'x'$"),
     ],
 )
 def test_config_errors_name_the_key_and_value(text, message):
@@ -808,3 +816,13 @@ def test_cli_cluster_trials_default_and_unknown_flag():
     assert resolve_config(build_parser().parse_args(["cluster-robustness"])).trials == 200
     with pytest.raises(SystemExit):
         build_parser().parse_args(["probe", "--quick"])
+
+
+def test_console_script_is_main():
+    # the console-script wrapper runs sys.exit(main()), so main is the one entry
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["rsbl"]
+    module, _, attr = target.partition(":")
+    assert getattr(importlib.import_module(module), attr) is rsbl.cli.main

@@ -82,7 +82,7 @@ def test_block_vandermonde_stack_matches_loop(b):
     rng = np.random.default_rng(30 + b)
     mats = rng.standard_normal((7, b, b))
     for d in (1, 2, 3, 4):
-        assert np.array_equal(block_vandermonde(mats, d), block_vandermonde_loop(mats, d))
+        assert np.array_equal(block_vandermonde(mats[:d]), block_vandermonde_loop(mats[:d], d))
     nodes = random_nodeset(rng, b, 3)
     assert np.array_equal(block_vandermonde(nodes), block_vandermonde_loop(nodes.bs, 3))
     assert np.array_equal(block_vandermonde(list(mats[:3])), block_vandermonde_loop(mats[:3], 3))

@@ -22,7 +22,6 @@ from rsbl.robustness import (
     ClusterSpec,
     ExperimentFamily,
     _tangent_from_basis,
-    _vandermonde_route,
     c_omega,
     conjecture_experiment,
     growth_Gd,
@@ -50,6 +49,12 @@ def make_spec(rng, b, d, m=16):
         cluster_min=1.0,
         cluster_max=1.15 + 0.3 * (d - 1),
     )
+
+
+def vandermonde_tangent(spec, omega):
+    """The Vandermonde-route tangent of one initial block, nodes built as the trial builds them."""
+    blocks = spec.omega_blocks(omega)
+    return tan_angle_vandermonde(spec, blocks, NodeSet(spec.lambda_blocks, blocks[: spec.d]))[0]
 
 
 def _tiny_spec(n=4, b=1, d=2, blocks=((1.0,), (2.0,)), perp=(4.0, 5.0), lo=0.0, hi=3.0):
@@ -236,7 +241,7 @@ def test_route_equivalence():
         spec = make_spec(rng, b, d, m=int(rng.integers(d + 2, 16)))
         omega = gaussian_matrix(spec.n, b, RngStream(100 + trial))
         t_k = tan_angle_krylov(spec, omega, d)
-        t_v = tan_angle_vandermonde(spec, omega)
+        t_v = vandermonde_tangent(spec, omega)
         assert t_k == pytest.approx(t_v, rel=1e-6)
 
 
@@ -246,7 +251,7 @@ def test_vandermonde_route_d1_reduction():
     omega = gaussian_matrix(spec.n, 3, RngStream(3))
     blocks = spec.omega_blocks(omega)
     expected = np.linalg.norm(np.vstack(blocks[1:]) @ np.linalg.inv(blocks[0]), 2)
-    assert tan_angle_vandermonde(spec, omega) == pytest.approx(expected, rel=1e-10)
+    assert vandermonde_tangent(spec, omega) == pytest.approx(expected, rel=1e-10)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -261,7 +266,8 @@ def test_route_equivalence_property(b, dm, seed):
     spec = make_spec(np.random.default_rng(seed), b, d, m=m)
     omega = gaussian_matrix(spec.n, b, RngStream(seed))
     blocks = spec.omega_blocks(omega)
-    t_v, k_mat = _vandermonde_route(spec, blocks, NodeSet(spec.lambda_blocks, tuple(blocks[:d])))
+    nodes = NodeSet(spec.lambda_blocks, tuple(blocks[:d]))
+    t_v, k_mat = tan_angle_vandermonde(spec, blocks, nodes)
     assume(np.linalg.cond(k_mat, 1) < 1e8)
     assert tan_angle_krylov(spec, omega, d) == pytest.approx(t_v, rel=1e-6)
 
@@ -277,7 +283,7 @@ def test_vandermonde_route_zero_trailing_block(b, d):
     k_full = np.hstack([lam**p * omega for p in range(d)])
     bd = b * d
     expected = np.linalg.norm(k_full[bd:] @ np.linalg.inv(k_full[:bd]), 2)
-    assert tan_angle_vandermonde(spec, omega) == pytest.approx(expected, rel=1e-10)
+    assert vandermonde_tangent(spec, omega) == pytest.approx(expected, rel=1e-10)
 
 
 def _affine_image(spec: ClusterSpec, scale: float, shift: float) -> ClusterSpec:
@@ -552,9 +558,9 @@ def test_vandermonde_route_k_gate():
     nodes = NodeSet(spec.lambda_blocks, (np.eye(2),))
     omega[:2] = np.diag([1.0, 1e-14])
     with pytest.raises(SingularMatrixError, match="1e-14"):
-        _vandermonde_route(spec, spec.omega_blocks(omega), nodes)
+        tan_angle_vandermonde(spec, spec.omega_blocks(omega), nodes)
     omega[:2] = np.diag([1.0, 2e-14])
-    tangent, k_mat = _vandermonde_route(spec, spec.omega_blocks(omega), nodes)
+    tangent, k_mat = tan_angle_vandermonde(spec, spec.omega_blocks(omega), nodes)
     assert np.isfinite(tangent)
     assert np.array_equal(k_mat, omega[:2])
 
@@ -672,11 +678,11 @@ def test_lowrank_diag_preset_observed_within():
 
 def test_conjecture_experiment_single_trial_is_observation():
     family = ExperimentFamily(sweep="beta", variant="exterior", n=120, cluster_dim=12)
-    out = conjecture_experiment(family, 1, master_seed=3, d_values=(2,), sweep_values=(0.5,))
-    assert len(out) == 1
-    assert out[0].median == out[0].q25 == out[0].q75
-    again = conjecture_experiment(family, 1, master_seed=3, d_values=(2,), sweep_values=(0.5,))
-    assert out[0].median == again[0].median
+    out = conjecture_experiment(family, 1, master_seed=3, d_values=(2,))
+    assert [row.sweep_value for row in out] == list(family.sweep_values)
+    assert all(row.median == row.q25 == row.q75 for row in out)
+    again = conjecture_experiment(family, 1, master_seed=3, d_values=(2,))
+    assert [row.median for row in out] == [row.median for row in again]
 
 
 def test_experiment_family_spec_layout():

@@ -139,3 +139,36 @@ def test_matpoly_spans_called_through_robustness(monkeypatch):
     report = rsbl.robustness.structural_bound_trial(spec, seed=7, grid_size=100)
     assert report.retries == 0
     assert calls == dict.fromkeys(names, 1)
+
+
+# The smallest command runs that together reach every span the traced benchmark wraps.
+SPAN_RUNS = {
+    "table1": "n = 100\nb_list = 1\nbeta_list = 1.0\ntrials = 1\n",
+    "lowrank": "",
+    "bound-verify": "b_list = 1, 2\nd_list = 2\ngrid_size = 50\ntrials = 1\n",
+}
+
+
+def test_commands_reach_every_span_function(tmp_path, monkeypatch):
+    # a span that no command calls reads 0 in every traced run; count each
+    # call where the tracer would, at every module attribute bound to it
+    monkeypatch.delenv("RSBL_OUT", raising=False)
+    child = import_perfbench("child")
+    modules = [getattr(rsbl, m) for m in child._MODULES]
+    calls = {}
+    for name, home, attr in child.SPAN_FUNCTIONS:
+        original, calls[name] = getattr(getattr(rsbl, home), attr), 0
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted)
+    for command, text in SPAN_RUNS.items():
+        config = tmp_path / f"{command}.cfg"
+        config.write_text(text)
+        argv = [command, "--config", str(config), "--out", str(tmp_path / command)]
+        assert rsbl.cli.main(argv) == 0
+    assert [name for name, count in calls.items() if count == 0] == []
