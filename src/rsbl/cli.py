@@ -6,8 +6,8 @@ Usage::
 
 Commands: table1, cluster-robustness, bound-verify, probe, sandwich,
 lowrank. Flags override config-file values, and every key a config file
-sets overrides the built-in per-command default; ``RSBL_OUT`` sets the
-default output directory. The exit code is 0 when every hard assertion
+sets overrides the built-in per-command default; ``--out`` alone names the
+output directory. The exit code is 0 when every hard assertion
 (holds rates at 100%, all cells converged) passed and 1 when one failed,
 with a machine-readable summary on standard error. A bad command line or
 config (an unknown key, a bad value, an unreadable ``--config`` file)
@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import os
 import sys
 
 from .config import ExperimentConfig
@@ -58,20 +57,17 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", help="path to a key = value configuration file")
     parser.add_argument("--seed", type=int, help="master seed")
     parser.add_argument("--trials", type=int, help="trial / seed count")
-    parser.add_argument("--out", help="output directory (default: $RSBL_OUT or ./out)")
+    parser.add_argument("--out", default="out", help="output directory (default: out)")
     return parser
 
 
 def resolve_config(args) -> ExperimentConfig:
-    # later layers win: command defaults, $RSBL_OUT, the file's keys, flags
+    # later layers win: command defaults, the file's keys, flags
     values = dict(_DEFAULTS[args.command])
-    env_out = os.environ.get("RSBL_OUT")
-    if env_out:
-        values["out_dir"] = env_out
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             values.update(ExperimentConfig.values_from_text(fh.read()))
-    flags = {"seed": args.seed, "trials": args.trials, "out_dir": args.out or None}
+    flags = {"seed": args.seed, "trials": args.trials}
     values.update((key, value) for key, value in flags.items() if value is not None)
     values["experiment"] = args.command
     return ExperimentConfig(**values)
@@ -104,11 +100,12 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         # one line, no usage block: the command line parsed, the config did not
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
+    out_dir = args.out or parser.get_default("out")  # --out '' keeps the default
     result = _COMMANDS[args.command](config)
-    write_outputs(config.out_dir, result)
+    write_outputs(out_dir, result)
     if result.console:
         print(result.console)
-    print(f"wrote {', '.join(result.files)} to {config.out_dir}")
+    print(f"wrote {', '.join(result.files)} to {out_dir}")
     if not result.ok:
         json.dump({"command": args.command, "failures": result.failures}, sys.stderr)
         sys.stderr.write("\n")

@@ -21,7 +21,11 @@ def derive_stream_id(key: str, trial: int) -> int:
 
 @dataclass
 class ExperimentConfig:
-    """Knobs shared by all experiment commands; unused fields keep defaults."""
+    """Knobs shared by all experiment commands; unused fields keep defaults.
+
+    Every field enters :meth:`canonical_key`, so a setting that must not move
+    the sample streams, such as the output directory, does not belong here.
+    """
 
     experiment: str = ""
     n: int = 2000
@@ -32,7 +36,6 @@ class ExperimentConfig:
     alpha_list: tuple = ()
     trials: int = 5
     seed: int = 8064113
-    out_dir: str = "out"
     grid_size: int = 1000
     variant: str = "both"
     tol: float = 1e-10
@@ -95,11 +98,7 @@ class ExperimentConfig:
         return kwargs
 
     def canonical_key(self, *extra) -> str:
-        # the output directory must not perturb derived sample streams
-        lines = [line for line in self.to_text().splitlines() if not line.startswith("out_dir ")]
-        parts = ["\n".join(lines)]
-        parts.extend(str(e) for e in extra)
-        return "|".join(parts)
+        return "|".join([self.to_text().rstrip("\n"), *map(str, extra)])
 
 
 def _format_value(value) -> str:

@@ -320,10 +320,9 @@ def run_sandwich(config: ExperimentConfig) -> RunResult:
     result = RunResult()
     rows = []
     key = config.canonical_key("sandwich")
-    sizes = tuple(b for b in config.b_list if b <= 4) or (1, 2, 3, 4)
     for trial in range(config.trials):
         rng = RngStream(config.seed, derive_stream_id(key, trial))
-        b = sizes[trial % len(sizes)]
+        b = config.b_list[trial % len(config.b_list)]
         b1 = gaussian_matrix(b, b, rng)
         b2 = gaussian_matrix(b, b, rng)
         lower, middle, upper, ok = sandwich_d2(b1, b2)

@@ -310,7 +310,7 @@ class ExperimentFamily:
     halves beta twelve times; the alpha sweep fixes ``beta = 1e-4`` and
     halves alpha ten times. The out-of-cluster spectrum makes the cluster
     either exterior (all other eigenvalues below) or interior (half below,
-    half above).
+    half above, the odd one above).
     """
 
     sweep: str
@@ -350,9 +350,10 @@ class ExperimentFamily:
         if self.variant == "exterior":
             perp = -1.0 - np.arange(1, rest + 1) / rest
         else:
-            half = rest // 2
+            below = rest // 2
+            above = rest - below
             perp = np.concatenate(
-                [-1.0 - np.arange(1, half + 1) / half, 4.0 + np.arange(1, half + 1) / half]
+                [-1.0 - np.arange(1, below + 1) / below, 4.0 + np.arange(1, above + 1) / above]
             )
         return ClusterSpec(
             n=self.n,

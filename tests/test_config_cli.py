@@ -46,9 +46,9 @@ SMALL_CONFIGS = {
 }
 
 
-def _small_config(command: str, out_dir) -> ExperimentConfig:
+def _small_config(command: str) -> ExperimentConfig:
     values = {**rsbl.cli._DEFAULTS[command], **SMALL_CONFIGS[command]}
-    return ExperimentConfig(experiment=command, out_dir=str(out_dir), **values)
+    return ExperimentConfig(experiment=command, **values)
 
 
 def _small_argv(command: str, config_dir, out_dir) -> list:
@@ -68,7 +68,6 @@ def test_config_round_trip():
         beta_list=(1.0, 0.125),
         trials=3,
         seed=99,
-        out_dir="results",
     )
     text = config.to_text()
     assert ExperimentConfig.from_text(text) == config
@@ -158,6 +157,7 @@ def test_config_rejects_empty_lists(tmp_path, capsys, key):
         (["--config", "missing.cfg"], None, "No such file or directory: 'missing.cfg'"),
         (["--config", "bad.cfg"], "n = abc\n", "n must be an int, got 'abc'"),
         (["--config", "bad.cfg"], "b_list = 1.5\n", "b_list[0] must be an int, got '1.5'"),
+        (["--config", "bad.cfg"], "out_dir = x\n", "unknown configuration key 'out_dir'"),
     ],
 )
 def test_cli_config_errors_exit_2_before_writing(tmp_path, monkeypatch, capsys, flags,
@@ -209,8 +209,6 @@ _POSITIVE = st.integers(min_value=1, max_value=10**6)
     alpha_list=st.lists(_FINITE, max_size=4).map(tuple),
     trials=_POSITIVE,
     seed=st.integers(min_value=0, max_value=2**64 - 1),
-    out_dir=_SAFE_TEXT,
-    other_out_dir=_SAFE_TEXT,
     grid_size=st.integers(min_value=2, max_value=10**6),
     variant=st.sampled_from(["exterior", "interior", "both"]),
     tol=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
@@ -218,12 +216,9 @@ _POSITIVE = st.integers(min_value=1, max_value=10**6)
     ell=_POSITIVE,
     eps=st.floats(min_value=0.0, allow_infinity=False),
 )
-def test_config_text_round_trip_property(other_out_dir, **values):
+def test_config_text_round_trip_property(**values):
     config = ExperimentConfig(**values)
     assert ExperimentConfig.from_text(config.to_text()) == config
-    # the output directory never enters the key that derives sample streams
-    moved = dataclasses.replace(config, out_dir=other_out_dir)
-    assert moved.canonical_key("probe", 3) == config.canonical_key("probe", 3)
 
 
 def test_stream_derivation_stable_and_distinct():
@@ -359,6 +354,12 @@ def test_sandwich_records_a_trial_whose_bound_fails(monkeypatch):
     assert result.console == "sandwich bound held in 2/3 trials"
 
 
+def test_sandwich_runs_every_block_size_it_is_given():
+    result = run_sandwich(ExperimentConfig(experiment="sandwich", b_list=(2, 6), trials=4))
+    assert result.ok
+    assert [row[1] for row in result.outputs[0][2]] == [2, 6, 2, 6]
+
+
 def test_cli_failure_exits_1_with_a_json_summary_on_stderr(tmp_path, monkeypatch, capsys):
     # the files are still written; the summary names the command and each failed check
     failed = RunResult(outputs=[("x.csv", ("a",), [(1,)])], failures=[{"check": "stub", "trial": 3}])
@@ -370,9 +371,7 @@ def test_cli_failure_exits_1_with_a_json_summary_on_stderr(tmp_path, monkeypatch
 
 
 def test_sandwich_runner_deterministic(tmp_path):
-    config = ExperimentConfig(
-        experiment="sandwich", b_list=(1, 2, 3, 4), trials=30, out_dir=str(tmp_path)
-    )
+    config = ExperimentConfig(experiment="sandwich", b_list=(1, 2, 3, 4), trials=30)
     result = run_sandwich(config)
     assert result.ok
     write_outputs(str(tmp_path / "a"), result)
@@ -388,7 +387,7 @@ def test_runner_leaves_the_file_system_to_the_writer(tmp_path, monkeypatch, comm
     # directory and opens each file, in the order of result.files
     monkeypatch.chdir(tmp_path)
     out = tmp_path / "absent"
-    result = rsbl.cli._COMMANDS[command](_small_config(command, out))
+    result = rsbl.cli._COMMANDS[command](_small_config(command))
     assert not any(tmp_path.iterdir())
     opened = []
 
@@ -419,7 +418,7 @@ def test_cli_probe_quantiles(tmp_path):
     assert values == sorted(values)
 
 
-def test_probe_streams_keyed_by_config(tmp_path, monkeypatch):
+def test_probe_streams_keyed_by_config(monkeypatch):
     # probes with the same seed but different block sizes must not share draws
     drawn = []
 
@@ -432,7 +431,7 @@ def test_probe_streams_keyed_by_config(tmp_path, monkeypatch):
     streams = {}
     for b in (2, 3):
         drawn.clear()
-        config = ExperimentConfig(experiment="probe", b_list=(b,), trials=5, out_dir=str(tmp_path))
+        config = ExperimentConfig(experiment="probe", b_list=(b,), trials=5)
         run_probe(config)
         streams[b] = set(drawn)
     assert len(streams[2]) == len(streams[3]) == 5
@@ -630,16 +629,6 @@ def test_cli_config_file_keys_beat_command_defaults(tmp_path):
     assert len((tmp_path / "bound_reports.csv").read_text().splitlines()) == 1 + 5
 
 
-def test_cli_config_file_out_dir_beats_env(tmp_path, monkeypatch):
-    # out_dir = out equals the class default; the file must still win over RSBL_OUT
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setenv("RSBL_OUT", str(tmp_path / "envout"))
-    (tmp_path / "cfg.txt").write_text("out_dir = out\n")
-    assert main(["probe", "--trials", "20", "--config", "cfg.txt"]) == 0
-    assert (tmp_path / "out" / "probe_quantiles.csv").exists()
-    assert not (tmp_path / "envout").exists()
-
-
 def test_cli_cluster_robustness_smoke(tmp_path):
     code = main(["cluster-robustness", "--trials", "2", "--out", str(tmp_path)])
     assert code == 0
@@ -657,11 +646,13 @@ def test_cli_cluster_robustness_smoke(tmp_path):
     assert len(slopes) == 1 + 2 * (4 + 3)
 
 
-def test_cli_env_out_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("RSBL_OUT", str(tmp_path / "envout"))
-    code = main(["probe", "--trials", "20"])
-    assert code == 0
-    assert (tmp_path / "envout" / "probe_quantiles.csv").exists()
+@pytest.mark.parametrize("flags", [[], ["--out", ""]], ids=["no-out", "empty-out"])
+def test_cli_writes_to_out_without_an_output_directory(tmp_path, monkeypatch, capsys, flags):
+    monkeypatch.chdir(tmp_path)
+    assert main(["probe", "--trials", "20", *flags]) == 0
+    assert capsys.readouterr().out.endswith("wrote probe_quantiles.csv to out\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]
+    assert (tmp_path / "out" / "probe_quantiles.csv").exists()
 
 
 def test_cli_rerun_byte_identical(tmp_path):
@@ -697,7 +688,7 @@ def test_cli_csv_bytes_independent_of_blas_threads(tmp_path, command):
 
 @pytest.mark.parametrize("command", sorted(rsbl.cli._COMMANDS))
 def test_cli_output_independent_of_out_dir(tmp_path, command):
-    # stream derivation must not see presentation fields like out_dir
+    # the output directory must not move an output byte
     out1, out2 = tmp_path / "a", tmp_path / "b" / "nested"
     assert main(_small_argv(command, tmp_path, out1)) == 0
     assert main(_small_argv(command, tmp_path, out2)) == 0
@@ -765,8 +756,7 @@ BENCHMARK_KEYS = {
 }
 
 
-def test_benchmark_canonical_keys_pinned(tmp_path, monkeypatch):
-    monkeypatch.delenv("RSBL_OUT", raising=False)
+def test_benchmark_canonical_keys_pinned(tmp_path):
     workloads = import_perfbench("workloads").WORKLOADS
     assert sorted(workloads) == sorted(BENCHMARK_KEYS)
     for name, w in workloads.items():

@@ -100,8 +100,7 @@ def write_golden(digests: dict) -> None:
     GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def test_output_digests_match_golden(tmp_path, monkeypatch, capsys):
-    monkeypatch.delenv("RSBL_OUT", raising=False)
+def test_output_digests_match_golden(tmp_path, capsys):
     key, golden = read_golden()
     here = environment_key()
     if key != here:
@@ -130,7 +129,7 @@ def test_key_differing_only_in_cpu_flags_skips(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(sys.modules[__name__], "output_digests", must_not_run)
     with pytest.raises(pytest.skip.Exception, match="cpu flags"):
-        test_output_digests_match_golden(tmp_path, monkeypatch, capsys)
+        test_output_digests_match_golden(tmp_path, capsys)
 
 
 if __name__ == "__main__":

@@ -686,11 +686,12 @@ def test_conjecture_experiment_single_trial_is_observation():
 
 
 def test_experiment_family_spec_layout():
-    family = ExperimentFamily(sweep="alpha", variant="interior")
-    spec = family.spec_for(3, 0.25)
-    assert spec.n == 1000 and spec.b * spec.d == 60
-    assert spec.lambda_perp.size == 940
-    assert (spec.lambda_perp < spec.cluster_min).sum() == 470
-    assert (spec.lambda_perp > spec.cluster_max).sum() == 470
+    # at n = 1001 the 941 eigenvalues outside the cluster split 470 below, 471 above
+    for n, below, above in ((1000, 470, 470), (1001, 470, 471)):
+        spec = ExperimentFamily(sweep="alpha", variant="interior", n=n).spec_for(3, 0.25)
+        assert spec.n == n and spec.b * spec.d == 60
+        assert spec.lambda_perp.size == below + above
+        assert (spec.lambda_perp < spec.cluster_min).sum() == below
+        assert (spec.lambda_perp > spec.cluster_max).sum() == above
     exterior = ExperimentFamily(sweep="beta", variant="exterior").spec_for(2, 0.5)
     assert np.all(exterior.lambda_perp < exterior.cluster_min)

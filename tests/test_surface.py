@@ -102,7 +102,6 @@ TINY_WORKLOADS = {
 def test_workload_trial_is_called_once_per_trial(name, tmp_path, monkeypatch):
     # the benchmark times a trial by replacing trial_module.trial_attr, so the
     # command must call each trial through that attribute, exactly once
-    monkeypatch.delenv("RSBL_OUT", raising=False)
     keys, per_trial = TINY_WORKLOADS[name]
     w = import_perfbench("workloads").WORKLOADS[name]
     w = dataclasses.replace(w, config={**w.config, **keys})
@@ -152,7 +151,6 @@ SPAN_RUNS = {
 def test_commands_reach_every_span_function(tmp_path, monkeypatch):
     # a span that no command calls reads 0 in every traced run; count each
     # call where the tracer would, at every module attribute bound to it
-    monkeypatch.delenv("RSBL_OUT", raising=False)
     child = import_perfbench("child")
     modules = [getattr(rsbl, m) for m in child._MODULES]
     calls = {}
