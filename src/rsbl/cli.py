@@ -50,6 +50,9 @@ _DEFAULTS = {
     "lowrank": dict(n=20, b_list=(2,), d_list=(2,), trials=1),
 }
 
+# the list keys of which a command reads one entry only
+_ONE_ENTRY = {"probe": ("b_list",), "lowrank": ("b_list", "d_list")}
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rsbl", description=__doc__.split("\n")[0])
@@ -69,8 +72,13 @@ def resolve_config(args) -> ExperimentConfig:
             values.update(ExperimentConfig.values_from_text(fh.read()))
     flags = {"seed": args.seed, "trials": args.trials}
     values.update((key, value) for key, value in flags.items() if value is not None)
-    values["experiment"] = args.command
-    return ExperimentConfig(**values)
+    config = ExperimentConfig(**values)
+    for key in _ONE_ENTRY.get(args.command, ()):
+        value = getattr(config, key)
+        if len(value) > 1:
+            text = ", ".join(map(str, value))
+            raise ValueError(f"{key} must have one entry for {args.command}, got {text!r}")
+    return config
 
 
 # glibc's dynamic thresholds follow the largest freed block, so every tangent

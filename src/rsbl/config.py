@@ -21,19 +21,17 @@ def derive_stream_id(key: str, trial: int) -> int:
 
 @dataclass
 class ExperimentConfig:
-    """Knobs shared by all experiment commands; unused fields keep defaults.
+    """Knobs of the experiment commands, each read by at least one of them.
 
     Every field enters :meth:`canonical_key`, so a setting that must not move
     the sample streams, such as the output directory, does not belong here.
     """
 
-    experiment: str = ""
     n: int = 2000
     nrows: int = 30
     b_list: tuple = (1, 2, 4, 8, 16, 32)
     d_list: tuple = (2, 3)
     beta_list: tuple = (1.0, 0.1, 0.01, 0.001)
-    alpha_list: tuple = ()
     trials: int = 5
     seed: int = 8064113
     grid_size: int = 1000
@@ -47,7 +45,6 @@ class ExperimentConfig:
         self.b_list = tuple(int(v) for v in self.b_list)
         self.d_list = tuple(int(v) for v in self.d_list)
         self.beta_list = tuple(float(v) for v in self.beta_list)
-        self.alpha_list = tuple(float(v) for v in self.alpha_list)
         least_values = dict(n=1, nrows=1, grid_size=2, trials=1, seed=0, cluster_dim=1, ell=1)
         for name, least in least_values.items():
             if getattr(self, name) < least:
@@ -114,8 +111,7 @@ def _parse_value(key: str, text: str, default):
         if not text:
             return ()
         items = [t.strip() for t in text.split(",") if t.strip()]
-        elem = default[0] if default else 1.0
-        return tuple(_parse_scalar(f"{key}[{i}]", t, elem) for i, t in enumerate(items))
+        return tuple(_parse_scalar(f"{key}[{i}]", t, default[0]) for i, t in enumerate(items))
     return _parse_scalar(key, text, default)
 
 

@@ -55,7 +55,7 @@ def report(criterion: int, ok: bool, detail: str):
 
 @pytest.fixture(scope="module")
 def table1_medians():
-    config = ExperimentConfig(experiment="table1", trials=11, seed=8064113)
+    config = ExperimentConfig(trials=11, seed=8064113)
     start = time.perf_counter()
     medians = {}
     for beta, row in TABLE1_REFERENCE.items():

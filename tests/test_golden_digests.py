@@ -5,8 +5,9 @@ the benchmark pins in ``perfbench/workloads.py``, and ``probe``,
 ``sandwich`` and ``lowrank`` at small trial counts, all at seed 1 and in
 one process. The bytes are promised only on one environment key (numpy
 version, BLAS build, CPU model and vector-unit flags), which
-``golden_digests.txt`` records; on another key the test skips and prints
-both keys.
+``golden_digests.txt`` records. The digests are computed on every host: a
+moved file fails the test under the recorded key, and under another key it
+skips, naming both keys and the moved files.
 
 A change that moves digits regenerates the file in the same commit, with
 the command on its first line, and says which files moved and why.
@@ -102,34 +103,53 @@ def write_golden(digests: dict) -> None:
 
 def test_output_digests_match_golden(tmp_path, capsys):
     key, golden = read_golden()
+    assert len(golden) == 11
+    digests = output_digests(tmp_path)
+    moved = sorted(n for n in golden.keys() | digests.keys() if golden.get(n) != digests.get(n))
     here = environment_key()
-    if key != here:
-        message = f"golden digests recorded on [{key}], this environment is [{here}]"
+    if moved and key != here:
+        message = (f"bytes moved in {moved}, but golden digests were recorded on [{key}] "
+                   f"and this environment is [{here}]")
         with capsys.disabled():
             print(f"\n{message}")
         pytest.skip(message)
-    digests = output_digests(tmp_path)
-    assert len(golden) == 11
-    moved = sorted(n for n in golden.keys() | digests.keys() if golden.get(n) != digests.get(n))
     assert not moved, f"bytes moved in {moved}; if intended, regenerate: {REGENERATE}"
 
 
-def test_key_differing_only_in_cpu_flags_skips(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "flags_differ, moves, outcome",
+    [
+        (True, False, "passes"),
+        (True, True, "skips"),
+        (False, True, "fails"),
+    ],
+    ids=["foreign-key-same-bytes", "foreign-key-moved-file", "recorded-key-moved-file"],
+)
+def test_key_differing_only_in_cpu_flags(tmp_path, monkeypatch, capsys, flags_differ, moves,
+                                         outcome):
     # a host with the same model name but other vector units runs other
-    # OpenBLAS kernels: the golden test must skip there, not fail
+    # OpenBLAS kernels: a moved file skips there, and matching bytes still pass
+    _, golden = read_golden()
+    recorded = environment_key()
     model, flags = _cpu()
-    other = "avx avx2 fma" if flags != "avx avx2 fma" else "avx"
-    here = environment_key()
-    monkeypatch.setattr(sys.modules[__name__], "_cpu", lambda: (model, other))
-    assert environment_key() != here
-    assert environment_key().replace(f"cpu flags {other}", f"cpu flags {flags}") == here
-
-    def must_not_run(work):
-        raise AssertionError("digests computed under a foreign key")
-
-    monkeypatch.setattr(sys.modules[__name__], "output_digests", must_not_run)
-    with pytest.raises(pytest.skip.Exception, match="cpu flags"):
+    if flags_differ:
+        other = "avx avx2 fma" if flags != "avx avx2 fma" else "avx"
+        monkeypatch.setattr(sys.modules[__name__], "_cpu", lambda: (model, other))
+        assert environment_key() != recorded
+        assert environment_key().replace(f"cpu flags {other}", f"cpu flags {flags}") == recorded
+    monkeypatch.setattr(sys.modules[__name__], "read_golden", lambda: (recorded, golden))
+    digests = dict(golden)
+    if moves:
+        digests["lowrank/lowrank.csv"] = "0" * 64
+    monkeypatch.setattr(sys.modules[__name__], "output_digests", lambda work: digests)
+    if outcome == "passes":
         test_output_digests_match_golden(tmp_path, capsys)
+    elif outcome == "skips":
+        with pytest.raises(pytest.skip.Exception, match=r"lowrank/lowrank\.csv.*cpu flags"):
+            test_output_digests_match_golden(tmp_path, capsys)
+    else:
+        with pytest.raises(AssertionError, match="regenerate"):
+            test_output_digests_match_golden(tmp_path, capsys)
 
 
 if __name__ == "__main__":

@@ -443,7 +443,7 @@ def test_windows_merge_overlapping_targets():
 def test_table1_benchmark_b1_runs_make_one_ritz_check_each(ritz_checks):
     # the per-target windows let a b = 1 run compare only on the step where it
     # converges, on each of the 8 b = 1 runs of the benchmark config
-    config = ExperimentConfig(experiment="table1", trials=2, seed=1)
+    config = ExperimentConfig(trials=2, seed=1)
     counts = [c for beta in config.beta_list for c in _matvecs_for_cell(config, beta, 1)]
     assert len(counts) == 8 and min(counts) > 0
     assert ritz_checks == counts
@@ -454,7 +454,7 @@ def test_table1_benchmark_b1_runs_make_one_ritz_check_each(ritz_checks):
 def test_run_until_converged_matches_textbook_block_lanczos(beta, b):
     # criterion 1's draws (first three trials): the textbook process shares no
     # step code with rsbl.lanczos, so it also guards the step itself
-    config = ExperimentConfig(experiment="table1", trials=11, seed=8064113)
+    config = ExperimentConfig(trials=11, seed=8064113)
     lam, diag = _table1_targets(beta, config.n)
     key = config.canonical_key("table1", f"beta={beta!r}", f"b={b}")
     for trial in range(3):
