@@ -78,6 +78,9 @@ def resolve_config(args) -> ExperimentConfig:
         if len(value) > 1:
             text = ", ".join(map(str, value))
             raise ValueError(f"{key} must have one entry for {args.command}, got {text!r}")
+    # lowrank runs one report, yet its trial count enters its stream key
+    if args.command == "lowrank" and config.trials != 1:
+        raise ValueError(f"trials must be 1 for lowrank, got {config.trials}")
     return config
 
 

@@ -110,7 +110,9 @@ def _parse_value(key: str, text: str, default):
     if isinstance(default, tuple):
         if not text:
             return ()
-        items = [t.strip() for t in text.split(",") if t.strip()]
+        items = [t.strip() for t in text.split(",")]
+        if "" in items:
+            raise ValueError(f"{key}[{items.index('')}] is empty, got {text!r}")
         return tuple(_parse_scalar(f"{key}[{i}]", t, default[0]) for i, t in enumerate(items))
     return _parse_scalar(key, text, default)
 

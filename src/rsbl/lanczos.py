@@ -1,48 +1,8 @@
 """Block Lanczos with full reorthogonalization and Rayleigh-Ritz extraction.
 
-The process builds an orthonormal basis of the block Krylov subspace
-``range[Omega, A Omega, ..., A^(l-1) Omega]`` one block per step. A step
-extends the basis by the QR of the previous step's remainder, then applies
-the operator once to the new block and projects the result out of the
-basis by classical Gram-Schmidt; the initial block costs no matvec. Cost
-per entry point for ``l`` steps of width ``b``: :func:`block_lanczos`
-``b * l`` matvecs (it also needs the last block's image, for ``T`` and the
-remainder); :func:`krylov_basis` ``b * (l - 1)`` (the last block is never
-applied); :func:`run_until_converged` ``b`` per step it runs.
-
-The basis is stored as rows, one basis vector per row of a
-``(b * capacity, n)`` buffer, so the blocks built so far are one contiguous
-slab: each reorthogonalization pass streams exactly those rows, and the
-rows of blocks not yet built are never touched, so the pages of a large
-buffer beyond them are never faulted in. The ``n x (b * steps)`` basis the
-entry points return is the transposed view of that buffer.
-
-A step's projection reads the whole basis once, and a second time only
-when it must. A first pass against the last two blocks removes the
-three-term recurrence, where nearly all of the cancellation happens, and
-gives the diagonal block of ``T``. One pass against the whole basis
-follows. A second whole-basis pass runs only when the first one cancelled
-most of some column, by the test of Daniel, Gragg, Kaufman & Stewart
-(Math. Comp. 30, 1976) with ``DGKS_ETA = 1/sqrt(2)``, as in ARPACK; when
-little cancels, one pass leaves the column orthogonal to working precision
-(Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005). While the
-basis has at most two blocks the first pass already covers all of it, so
-those steps build the basis and remainder of two whole-basis passes, bit
-for bit.
-
-:func:`run_until_converged` compares Ritz values with its targets only on
-steps where a Sylvester inertia count of ``T`` (Parlett, *The Symmetric
-Eigenvalue Problem*, 1998) leaves a match possible. At ``b = 1`` the count is
-the Sturm sequence, one scalar recursion per shift, and each target gets its
-own window. The computed count is exact for a ``T'`` whose couplings differ
-from those of ``T`` by at most ``2.5 eps`` relative (Kahan 1966; Demmel,
-Dhillon & Ren, ETNA 1995), and ``eigvalsh`` is off by at most
-``p(k) eps ||T||`` (LAPACK Users' Guide, section 4.7). So the windows are
-widened beyond ``tol`` by ``STURM_MARGIN = 1e-12``, and a step whose bound
-``eps ((k + 5) G + 2 max|s|)``, ``G`` a Gershgorin bound on ``||T||``, exceeds
-it drops the count. At ``b >= 2`` no such bound holds for the block LDL^T
-pivots, so one window spans the target hull, widened by
-``SENTINEL_MARGIN = 1e-8``.
+Every entry point runs one :class:`_Process`, which builds an orthonormal
+basis of the block Krylov subspace ``range[Omega, A Omega, ..., A^(l-1) Omega]``
+one block per step.
 """
 from __future__ import annotations
 
@@ -139,8 +99,9 @@ class _Process:
 
     ``Vt`` holds the basis as rows, filled in place one block (``b`` rows)
     per step; ``Vt[:steps * b]`` is the contiguous slab of the blocks built
-    so far, and the passes read nothing beyond it. ``T`` is kept as its
-    blocks: ``alpha[k]`` is the symmetrized diagonal block of step ``k`` and
+    so far, and the passes read nothing beyond it, so the pages of blocks
+    not yet built are never touched. ``T`` is kept as its blocks:
+    ``alpha[k]`` is the symmetrized diagonal block of step ``k`` and
     ``beta[k]`` the R factor coupling block ``k`` to block ``k - 1``
     (``beta[0]`` stays zero). ``tridiagonal()`` assembles the dense ``T``
     only when a caller reads it.
@@ -195,9 +156,15 @@ class _Process:
         """Apply the operator to block ``steps``; form ``alpha`` and the new remainder.
 
         One pass against the last two blocks (its last ``b`` coefficient rows
-        are ``alpha``), one against the whole basis, and a second whole-basis
-        pass only when the DGKS test fires; the test runs only once the local
-        pass leaves older blocks out.
+        are ``alpha``) takes nearly all of the cancellation, as the three-term
+        recurrence lives there. One pass against the whole basis follows, and
+        a second one only when the first cancelled most of some column: the
+        test of Daniel, Gragg, Kaufman & Stewart (Math. Comp. 30, 1976) with
+        ARPACK's ``DGKS_ETA``; when little cancels, one pass leaves the column
+        orthogonal to working precision (Giraud, Langou & Rozloznik, Comput.
+        Math. Appl. 50, 2005). The test runs only once the local pass leaves
+        older blocks out; before that a step builds the basis and remainder of
+        two whole-basis passes, bit for bit.
         """
         hi = (self.steps + 1) * self.b
         lo = max(0, hi - 2 * self.b)
@@ -256,7 +223,8 @@ class _Sentinel:
 
     The block LDL^T pivots ``D_k(s) = A_k - sI - R_k D_(k-1)(s)^-1 R_k^T``
     are extended one block at a time; the number of negative pivot
-    eigenvalues is the number of eigenvalues of ``T`` below ``s``. At
+    eigenvalues is the number of eigenvalues of ``T`` below ``s`` (Parlett,
+    *The Symmetric Eigenvalue Problem*, 1998). At
     ``b = 1`` the pivots are the Sturm sequence
     ``d_k(s) = (a_k - s) - r_k^2 / d_(k-1)(s)``, one scalar per shift.
     """

@@ -186,12 +186,15 @@ def max_spectral_norm(m) -> float:
     """Largest spectral norm over a ``(..., r, c)`` stack, bit for bit ``spectral_norm(m).max()``.
 
     Only matrices whose upper bounds reach ``lead``, the top singular value of the Frobenius
-    argmax, get an SVD (slack: 1e-12 for rounding, 1e-150 for tiny values). The bounds are
-    ``||M||_F``, then the trace bound of Wolkowicz & Styan (Linear Algebra Appl. 29, 1980) on
-    the p-by-p Gram A of M divided by its largest absolute entry (no square over- or
-    underflows): ``lambda_max(A) <= mu + sigma sqrt(p - 1)``, ``mu = tr(A)/p``,
-    ``sigma^2 = ||A - mu I||_F^2 / p``, exact at p <= 2. numpy takes each SVD of a stack
-    alone, so the bits match.
+    argmax, get an SVD. The bounds are ``||M||_F``, then the trace bound of Wolkowicz & Styan
+    (Linear Algebra Appl. 29, 1980) on the p-by-p Gram A of M divided by its largest absolute
+    entry (no square over- or underflows): ``lambda_max(A) <= mu + sigma sqrt(p - 1)``,
+    ``mu = tr(A)/p``, ``sigma^2 = ||A - mu I||_F^2 / p``, exact at p <= 2. The result is
+    exact: both bounds are at least ``||M||_2``, so a dropped matrix has a norm below
+    ``lead``; the argmax is always kept; and numpy takes each SVD of a stack alone, so the
+    kept ones get the same bits. The slack 1e-12 covers the rounding of bounds and norms, and
+    1e-150 values too small for a relative slack (Frobenius squares that underflow); a
+    Frobenius square that overflows gives an infinite norm, kept for the second prune.
     """
     m = as_stack(m).reshape(-1, *np.shape(m)[-2:])
     fro = np.sqrt(np.einsum("kij,kij->k", m, m))

@@ -1,17 +1,11 @@
 """Block Vandermonde interpolation nodes and solvent chains.
 
 A matrix polynomial here is ``Phi(X) = C_0 + X C_1 + ... + X^d C_d`` with
-b-by-b coefficient blocks sitting to the *right* of the variable. The
-fundamental polynomials ``F_k`` are the block analogue of Lagrange basis
-polynomials: degree d-1 with ``F_k(B_j) = delta_kj * I``. The package
-computes them one way, through the recursive chain-of-solvents
-factorization (:func:`solvent_chain` + :func:`fundamental_via_chain`) that
-the structural bound rests on. Nodes, chains and the polynomial grid are
-held as arrays stacked over all chains (the grid wants the CLI's allocator
-thresholds; see :func:`fundamental_via_chain`), and each stacked step keeps
-the bits of a one-at-a-time computation. The test suite checks that route
-against an independent one, a brute-force solve against the block
-Vandermonde matrix.
+b-by-b coefficient blocks to the *right* of the variable. The fundamental
+polynomials ``F_k``, the block analogue of Lagrange basis polynomials, have
+degree d-1 and ``F_k(B_j) = delta_kj * I``. The package computes them one
+way, through the chain-of-solvents factorization (:func:`solvent_chain`,
+:func:`fundamental_via_chain`) that the structural bound rests on.
 """
 from __future__ import annotations
 

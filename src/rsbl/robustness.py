@@ -59,7 +59,6 @@ class ClusterSpec:
     lambda_perp: np.ndarray
     cluster_min: float
     cluster_max: float
-    allow_zero_relgap: bool = False
     lambda_min: float = field(init=False)
     lambda_max: float = field(init=False)
     relgap: float = field(init=False)
@@ -87,8 +86,6 @@ class ClusterSpec:
         gap = min_separation(blocks)
         width = float(allv.max() - allv.min())
         relgap = gap / width if width > 0.0 else math.inf
-        if relgap <= 0.0 and not self.allow_zero_relgap:
-            raise ValueError("relgap must be positive (pass allow_zero_relgap to override)")
         object.__setattr__(self, "lambda_blocks", blocks)
         object.__setattr__(self, "lambda_perp", perp)
         object.__setattr__(self, "lambda_min", float(allv.min()))

@@ -359,7 +359,6 @@ def test_criterion_11_multiplicity_obstruction():
             lambda_perp=rng.uniform(-1.0, 0.0, n - b * d),
             cluster_min=0.9,
             cluster_max=2.8 + 0.4 * d,
-            allow_zero_relgap=True,
         )
         omega = gaussian_matrix(n, b, RngStream(777000 + trial))
         for steps in (d, d + 1, d + 2):

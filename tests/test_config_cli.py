@@ -158,6 +158,9 @@ def test_config_rejects_empty_lists(tmp_path, capsys, key):
         (["--config", "bad.cfg"], "alpha_list = 0.5\n", "unknown configuration key 'alpha_list'"),
         (["--config", "bad.cfg"], "experiment = table1\n",
          "unknown configuration key 'experiment'"),
+        # a stray comma more likely marks a missing value than nothing
+        (["--config", "bad.cfg"], "b_list = 1,,2\n", "b_list[1] is empty, got '1,,2'"),
+        (["--config", "bad.cfg"], "b_list = 1, 2,\n", "b_list[2] is empty, got '1, 2,'"),
     ],
 )
 def test_cli_config_errors_exit_2_before_writing(tmp_path, monkeypatch, capsys, flags,
@@ -183,6 +186,14 @@ def test_cli_rejects_a_list_the_command_reads_one_entry_of(tmp_path, monkeypatch
     err = config_error([command, "--config", "list.cfg", "--out", "out"], capsys)
     key = text.split(" = ")[0]
     assert err == f"rsbl: error: {key} must have one entry for {command}, got '2, 3'\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_lowrank_rejects_a_trial_count_it_does_not_read(tmp_path, monkeypatch, capsys):
+    # lowrank runs one report; another count would only move its stream key
+    monkeypatch.chdir(tmp_path)
+    err = config_error(["lowrank", "--trials", "3", "--out", "out"], capsys)
+    assert err == "rsbl: error: trials must be 1 for lowrank, got 3\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -679,8 +690,9 @@ def test_cli_rerun_byte_identical(tmp_path):
 def test_cli_csv_bytes_independent_of_blas_threads(tmp_path, command):
     # fresh processes, because OpenBLAS reads its thread count at load time
     src = str(Path(__file__).resolve().parent.parent / "src")
-    # one table1 trial already runs every (beta, b) cell of the default grid
-    trials = {"table1": "1", "cluster-robustness": "3"}.get(command, "4")
+    # one table1 trial already runs every (beta, b) cell of the default grid,
+    # and lowrank runs one report
+    trials = {"table1": "1", "lowrank": "1", "cluster-robustness": "3"}.get(command, "4")
     config = tmp_path / "small.cfg"
     # a small cluster-robustness operator: every sweep point, both variants
     config.write_text("n = 300\n" if command == "cluster-robustness" else "")

@@ -70,7 +70,6 @@ INPUT_CHECKS = {
     "interval-order": (lambda: _tiny_spec(lo=3.0, hi=0.0), "endpoints out of order"),
     "block-outside": (lambda: _tiny_spec(hi=1.5), "cluster blocks must lie inside"),
     "perp-inside": (lambda: _tiny_spec(perp=(1.5, 4.0)), "lambda_perp entries must lie outside"),
-    "zero-relgap": (lambda: _tiny_spec(blocks=((1.0,), (1.0,))), "relgap must be positive"),
     "omega-shape": (lambda: _tiny_spec().omega_blocks(np.ones((3, 1))), "Omega must be 4 x 1"),
     "block-partition": (
         lambda: _tiny_spec(n=5, b=2, blocks=((1.0, 1.1), (2.0, 2.1)), perp=(4.0,))
@@ -89,6 +88,11 @@ INPUT_CHECKS = {
         lambda: growth_Gd(_tiny_spec(n=2, perp=(), lo=1.0, hi=2.0), None),
         "no sample points outside the cluster interval",
     ),
+    # a zero gap is a valid spectrum, but the bound at d >= 2 needs a positive one
+    "bound-zero-relgap": (
+        lambda: structural_bound_trial(_tiny_spec(blocks=((1.0,), (1.0,))), seed=0),
+        "structural bound requires a positive relgap",
+    ),
 }
 
 
@@ -101,8 +105,7 @@ def test_cluster_spec_validation(check):
 
 def test_cluster_spec_fields():
     spec = ClusterSpec(
-        4, 1, 2, (np.array([1.0]), np.array([1.0])), np.array([3.0, 4.0]), 0.0, 2.0,
-        allow_zero_relgap=True,
+        4, 1, 2, (np.array([1.0]), np.array([1.0])), np.array([3.0, 4.0]), 0.0, 2.0
     )
     assert spec.relgap == 0.0
     good = ClusterSpec(4, 1, 2, (np.array([1.0]), np.array([2.0])), np.array([4.0, 5.0]), 0.0, 3.0)
@@ -123,7 +126,7 @@ def test_multiplicity_obstruction_returns_infinity():
     spec = ClusterSpec(
         n=20, b=2, d=2, lambda_blocks=blocks,
         lambda_perp=np.linspace(-1.0, 0.0, 16),
-        cluster_min=0.9, cluster_max=1.4, allow_zero_relgap=True,
+        cluster_min=0.9, cluster_max=1.4,
     )
     for trial in range(5):
         omega = gaussian_matrix(20, 2, RngStream(trial))

@@ -5,10 +5,12 @@ traced benchmark wraps each function it names by module attribute,
 patches three methods to count matvecs, block steps and Ritz checks, and
 counts breakdowns through ``rsbl.BreakdownError``; a rename or removal
 there would break the benchmark (or silently zero its counters) without
-failing any other test.
+failing any other test. One more test holds the README's table of config
+keys to the fields of ``ExperimentConfig``.
 """
 import dataclasses
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ import rsbl
 import rsbl.cli
 import rsbl.lanczos
 import rsbl.robustness
+from rsbl.config import ExperimentConfig
 from rsbl.experiments import bound_verify_spec
 from rsbl.linalg import RngStream, gaussian_matrix
 
@@ -86,6 +89,15 @@ def test_exported_exceptions_are_one_per_failure_kind():
         "SingularMatrixError",
     }
     assert issubclass(rsbl.ChainBreakdownError, rsbl.SingularMatrixError)
+
+
+def test_readme_config_table_lists_every_key():
+    # the README's table of config keys is the one part of it that must track the code
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    lines = readme.read_text(encoding="utf-8").splitlines()
+    rows = lines[lines.index("| key | read by |") + 2:]
+    keys = [row.split("|")[1].strip().strip("`") for row in rows[: rows.index("")]]
+    assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
 # Per workload: config keys that shrink its pinned config, and the trials one
