@@ -10,8 +10,9 @@ sets overrides the built-in per-command default; ``--out`` alone names the
 output directory. The exit code is 0 when every hard assertion
 (holds rates at 100%, all cells converged) passed and 1 when one failed,
 with a machine-readable summary on standard error. A bad command line or
-config (an unknown key, a bad value, an unreadable ``--config`` file)
-exits 2 with one line on standard error, before anything is written.
+config (an unknown key, a bad value, an unreadable ``--config`` file, a
+config the command's runner rejects) exits 2 with one line on standard
+error, before anything is written.
 """
 from __future__ import annotations
 
@@ -107,12 +108,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = resolve_config(args)
+        # a runner writes nothing, so a config it rejects leaves no file behind
+        result = _COMMANDS[args.command](resolve_config(args))
     except (ValueError, OSError) as exc:
         # one line, no usage block: the command line parsed, the config did not
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
     out_dir = args.out or parser.get_default("out")  # --out '' keeps the default
-    result = _COMMANDS[args.command](config)
     write_outputs(out_dir, result)
     if result.console:
         print(result.console)

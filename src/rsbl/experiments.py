@@ -139,6 +139,8 @@ def _matvecs_for_cell(config: ExperimentConfig, beta: float, b: int) -> list:
 
 def run_table1(config: ExperimentConfig) -> RunResult:
     """Matvec counts for convergence of the 32-eigenvalue cluster experiment."""
+    if config.n < 32:
+        raise ValueError(f"n must be >= 32 for table1's 32-eigenvalue cluster, got {config.n}")
     result = RunResult()
     rows = []
     medians: dict = {}

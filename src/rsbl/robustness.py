@@ -256,6 +256,8 @@ def structural_bound_trial(
     Draws that hit a measure-zero degeneracy, any :class:`SingularMatrixError`
     (singular partition block, chain breakdown, singular K), are resampled on
     fresh stream ids up to ``MAX_RETRIES`` times; the retry count is recorded.
+    A trial whose every draw was degenerate raises :class:`SingularMatrixError`
+    chained from the last draw's error.
     """
     if spec.d >= 2 and not spec.relgap > 0.0:
         raise ValueError("structural bound requires a positive relgap")
@@ -293,7 +295,9 @@ def structural_bound_trial(
             cond_k=float(np.linalg.cond(k_mat, 1)),
             retries=attempt,
         )
-    raise RuntimeError(f"persistent degeneracy after {MAX_RETRIES} retries: {last_exc}")
+    raise SingularMatrixError(
+        f"persistent degeneracy after {MAX_RETRIES} retries: {last_exc}"
+    ) from last_exc
 
 
 @dataclass(frozen=True)
@@ -312,8 +316,8 @@ class ExperimentFamily:
 
     sweep: str
     variant: str
-    n: int = 1000
-    cluster_dim: int = 60
+    n: int
+    cluster_dim: int
 
     def __post_init__(self):
         if self.sweep not in ("beta", "alpha"):
@@ -393,7 +397,6 @@ def conjecture_experiment(
     family: ExperimentFamily,
     trials: int,
     master_seed: int,
-    d_values=None,
 ) -> list:
     """Monte Carlo sweep of the measured tangent over one experiment family.
 
@@ -405,7 +408,7 @@ def conjecture_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     summaries = []
-    for d in tuple(d_values) if d_values is not None else family.d_values:
+    for d in family.d_values:
         for value in family.sweep_values:
             spec = family.spec_for(d, value)
             key = (
@@ -475,6 +478,8 @@ def probe_solvent_difference(
     """
     lam_i = np.asarray(lam_i, dtype=np.float64).reshape(-1)
     lam_j = np.asarray(lam_j, dtype=np.float64).reshape(-1)
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     if lam_i.size != lam_j.size:
         raise ValueError("spectra must have equal size")
     if min_separation((lam_i, lam_j)) == 0.0:

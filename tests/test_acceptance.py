@@ -3,7 +3,12 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines as they complete. Each test computes its verdict first, prints the
 line, then asserts, so a FAIL line always appears before the traceback.
+Criteria 1, 2, 6, 7 and 8 run the command that reproduces them through
+``rsbl.cli.main`` at its shipped defaults and judge the CSV it writes.
 """
+import contextlib
+import csv
+import io
 import math
 import time
 
@@ -22,8 +27,7 @@ from helpers import (
     random_nodeset,
     random_polynomial,
 )
-from rsbl.config import ExperimentConfig
-from rsbl.experiments import _matvecs_for_cell, fit_loglog
+from rsbl.cli import main
 from rsbl.linalg import RngStream, gaussian_matrix
 from rsbl.matpoly import (
     NodeSet,
@@ -32,14 +36,7 @@ from rsbl.matpoly import (
     fundamental_via_chain,
     solvent_chain,
 )
-from rsbl.robustness import (
-    ClusterSpec,
-    ExperimentFamily,
-    conjecture_experiment,
-    sandwich_d2,
-    structural_bound_trial,
-    tan_angle_krylov,
-)
+from rsbl.robustness import ClusterSpec, sandwich_d2, tan_angle_krylov
 
 TABLE1_REFERENCE = {
     1.0: {1: 75, 2: 86, 4: 100, 8: 136, 16: 208, 32: 352},
@@ -53,20 +50,32 @@ def report(criterion: int, ok: bool, detail: str):
     print(f"[criterion {criterion:2d}] {'PASS' if ok else 'FAIL'}: {detail}")
 
 
-@pytest.fixture(scope="module")
-def table1_medians():
-    config = ExperimentConfig(trials=11, seed=8064113)
+def run_command(out_dir, command, *flags) -> tuple[dict, float]:
+    """Run ``rsbl <command>`` with no config file; the rows of each CSV it wrote, and its time.
+
+    The command's console summary is swallowed, so each criterion prints one line.
+    """
     start = time.perf_counter()
-    medians = {}
-    for beta, row in TABLE1_REFERENCE.items():
-        for b in row:
-            counts = sorted(_matvecs_for_cell(config, beta, b))
-            medians[(beta, b)] = counts[len(counts) // 2]
-    return medians, time.perf_counter() - start
+    with contextlib.redirect_stdout(io.StringIO()):
+        main([command, *flags, "--out", str(out_dir)])
+    elapsed = time.perf_counter() - start
+    tables = {}
+    for path in out_dir.glob("*.csv"):
+        with open(path, newline="", encoding="utf-8") as fh:
+            tables[path.name] = list(csv.DictReader(fh))
+    return tables, elapsed
 
 
-def test_criterion_01_table1_reproduction(table1_medians):
-    medians, elapsed = table1_medians
+@pytest.fixture(scope="module")
+def table1_summary(tmp_path_factory):
+    tables, elapsed = run_command(tmp_path_factory.mktemp("table1"), "table1", "--trials", "11")
+    rows = {(float(r["beta"]), int(r["b"])): r for r in tables["table1_summary.csv"]}
+    return rows, elapsed
+
+
+def test_criterion_01_table1_reproduction(table1_summary):
+    rows, elapsed = table1_summary
+    medians = {cell: int(row["median_matvecs"]) for cell, row in rows.items()}
     misses = []
     for beta, row in TABLE1_REFERENCE.items():
         for b, ref in row.items():
@@ -79,14 +88,11 @@ def test_criterion_01_table1_reproduction(table1_medians):
     assert not misses, misses
 
 
-def test_criterion_02_overhead_trend(table1_medians):
-    medians, _ = table1_medians
-    overheads = []
-    for beta in (1.0, 0.1, 0.01, 0.001):
-        base = medians[(beta, 1)]
-        overheads.append((medians[(beta, 2)] - base) / base)
+def test_criterion_02_overhead_trend(table1_summary):
+    rows, _ = table1_summary
+    overheads = [float(rows[(beta, 2)]["overhead_pct"]) for beta in (1.0, 0.1, 0.01, 0.001)]
     ok = all(a > b for a, b in zip(overheads, overheads[1:]))
-    report(2, ok, "b=2 overhead by beta: " + ", ".join(f"{o:.1%}" for o in overheads))
+    report(2, ok, "b=2 overhead by beta: " + ", ".join(f"{o:.1f}%" for o in overheads))
     assert ok, overheads
 
 
@@ -190,66 +196,50 @@ def test_criterion_05_interpolation_identity(oracle_instances):
     assert worst <= 1.0
 
 
-def test_criterion_06_structural_bound():
-    start = time.perf_counter()
-    rng = np.random.default_rng(20240603)
-    total, held = 0, 0
+def test_criterion_06_structural_bound(tmp_path):
+    tables, elapsed = run_command(tmp_path, "bound-verify")
+    rows = tables["bound_reports.csv"]
+    total = len(rows)
+    held = sum(row["bound_holds"] == "1" for row in rows)
     route_misses = []
-    for b in (1, 2, 3):
-        for d in (2, 3):
-            for trial in range(20):
-                spec = random_cluster_spec(rng, b, d, m=24)
-                report_row = structural_bound_trial(spec, seed=1000 * b + 100 * d + trial)
-                total += 1
-                held += int(report_row.bound_holds)
-                t_k, t_v = report_row.tan_angle_krylov, report_row.tan_angle_vandermonde
-                if math.isfinite(t_k) and math.isfinite(t_v) and report_row.cond_k < 1e8:
-                    if abs(t_k - t_v) > 1e-6 * t_v:
-                        route_misses.append((b, d, trial, t_k, t_v))
-    elapsed = time.perf_counter() - start
-    ok = held == total and not route_misses and elapsed <= 120.0
+    for row in rows:
+        t_k, t_v = float(row["tan_krylov"]), float(row["tan_vandermonde"])
+        if math.isfinite(t_k) and math.isfinite(t_v) and float(row["cond_k"]) < 1e8:
+            if abs(t_k - t_v) > 1e-6 * t_v:
+                route_misses.append((row["b"], row["d"], row["trial"], t_k, t_v))
+    ok = held == total == 120 and not route_misses and elapsed <= 120.0
     report(
         6,
         ok,
         f"bound held {held}/{total}, route mismatches {len(route_misses)}, {elapsed:.0f}s",
     )
     assert elapsed <= 120.0
-    assert held == total
+    assert held == total == 120
     assert not route_misses, route_misses[:3]
 
 
-def test_criterion_07_conjecture_slopes():
-    start = time.perf_counter()
-    trials = 200
+def test_criterion_07_conjecture_slopes(tmp_path):
+    # beta slopes near 0, alpha slopes near -(d - 1), both variants
+    tables, elapsed = run_command(tmp_path, "cluster-robustness")
     failures = []
     lines = []
-    for variant in ("exterior", "interior"):
-        beta_family = ExperimentFamily(sweep="beta", variant=variant)
-        for d in (2, 3, 4, 5):
-            summaries = conjecture_experiment(beta_family, trials, 8064113, d_values=(d,))
-            slope, _, _ = fit_loglog(
-                [s.sweep_value for s in summaries], [s.median for s in summaries]
-            )
+    for row in tables["cluster_slopes.csv"]:
+        variant, sweep, d, slope = row["variant"], row["sweep"], int(row["d"]), float(row["slope"])
+        if sweep == "beta":
             lines.append(f"{variant}/beta d={d}: slope {slope:+.3f}")
-            if abs(slope) > 0.15:
-                failures.append(lines[-1])
-        alpha_family = ExperimentFamily(sweep="alpha", variant=variant)
-        for d in (2, 3, 4):
-            summaries = conjecture_experiment(alpha_family, trials, 8064113, d_values=(d,))
-            slope, _, _ = fit_loglog(
-                [s.relgap for s in summaries], [s.median for s in summaries]
-            )
+            missed = abs(slope) > 0.15
+        else:
             lines.append(f"{variant}/alpha d={d}: slope {slope:+.3f} (target {-(d-1)})")
-            if abs(slope + (d - 1)) > 0.35:
-                failures.append(lines[-1])
-    elapsed = time.perf_counter() - start
-    ok = not failures and elapsed <= 1200.0
+            missed = abs(slope + (d - 1)) > 0.35
+        if missed:
+            failures.append(lines[-1])
+    ok = len(lines) == 14 and not failures and elapsed <= 1200.0
     report(7, ok, f"{'; '.join(lines)}; {elapsed:.0f}s")
     assert elapsed <= 1200.0
-    assert not failures, failures
+    assert len(lines) == 14 and not failures, failures
 
 
-def test_criterion_08_norm_bound_and_sandwich():
+def test_criterion_08_norm_bound_and_sandwich(tmp_path):
     start = time.perf_counter()
     rng = np.random.default_rng(20240604)
     hull_violations = 0
@@ -260,25 +250,24 @@ def test_criterion_08_norm_bound_and_sandwich():
         p = random_polynomial(rng, b, int(rng.integers(1, 5)))
         lhs, rhs = eigenhull_bound_pair(p, omega0, lam0)
         hull_violations += int(lhs > rhs * (1.0 + 1e-10))
-    sandwich_fails = 0
-    for trial in range(1000):
-        b = trial % 4 + 1
-        b1 = rng.standard_normal((b, b))
-        b2 = rng.standard_normal((b, b))
-        _, _, _, holds = sandwich_d2(b1, b2)
-        sandwich_fails += int(not holds)
+    # 1000 trials, trial t at b = t mod 4 + 1
+    tables, _ = run_command(tmp_path, "sandwich")
+    rows = tables["sandwich.csv"]
+    # the column holds a numpy bool, which the CSV spells True/False, not 1/0
+    sandwich_held = sum(row["holds"] in ("1", "True") for row in rows)
+    sandwich_ok = sandwich_held == len(rows) == 1000
     _, middle, _, anchor_holds = sandwich_d2(np.eye(3), -np.eye(3))
     anchor_ok = anchor_holds and abs(middle - 0.5) <= 1e-12
     elapsed = time.perf_counter() - start
-    ok = hull_violations == 0 and sandwich_fails == 0 and anchor_ok and elapsed <= 30.0
+    ok = hull_violations == 0 and sandwich_ok and anchor_ok and elapsed <= 30.0
     report(
         8,
         ok,
-        f"hull bound 500/500, sandwich {1000 - sandwich_fails}/1000, "
+        f"hull bound 500/500, sandwich {sandwich_held}/{len(rows)}, "
         f"anchor middle {middle:.6f}, {elapsed:.1f}s",
     )
     assert elapsed <= 30.0
-    assert hull_violations == 0 and sandwich_fails == 0 and anchor_ok
+    assert hull_violations == 0 and sandwich_ok and anchor_ok
 
 
 def test_criterion_09_scalar_reduction():

@@ -175,6 +175,25 @@ def test_cli_config_errors_exit_2_before_writing(tmp_path, monkeypatch, capsys, 
 
 
 @pytest.mark.parametrize(
+    "command, config_text, message",
+    [
+        ("table1", "n = 20\n", "n must be >= 32 for table1's 32-eigenvalue cluster, got 20"),
+        ("table1", "n = 40\nb_list = 64\n", "more targets than the subspace budget allows"),
+        ("cluster-robustness", "n = 100\ncluster_dim = 7\n",
+         "cluster dimension 7 not divisible by d=2"),
+    ],
+)
+def test_cli_runner_config_errors_exit_2_before_writing(tmp_path, monkeypatch, capsys, command,
+                                                        config_text, message):
+    # a config that builds but that the command's runner rejects is a config error too
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.cfg").write_text(config_text)
+    err = config_error([command, "--config", "bad.cfg", "--out", "out"], capsys)
+    assert err == f"rsbl: error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "command, text",
     [("probe", "b_list = 2, 3\n"), ("lowrank", "b_list = 2, 3\n"), ("lowrank", "d_list = 2, 3\n")],
 )

@@ -93,6 +93,10 @@ INPUT_CHECKS = {
         lambda: structural_bound_trial(_tiny_spec(blocks=((1.0,), (1.0,))), seed=0),
         "structural bound requires a positive relgap",
     ),
+    "probe-no-trials": (
+        lambda: probe_solvent_difference([1.0], [4.5], 0, master_seed=1, key="probe"),
+        "trials must be >= 1",
+    ),
 }
 
 
@@ -137,7 +141,8 @@ def test_multiplicity_obstruction_returns_infinity():
 def test_krylov_tangent_counts_cosines_below_least_squares_cutoff():
     # smallest cosine 1.03e-14: above the 1e-14 inf gate, below the
     # 60 * eps * s_max cut-off a least-squares solve with rcond=None applies
-    spec = ExperimentFamily(sweep="alpha", variant="exterior").spec_for(4, 2.0**-5)
+    family = ExperimentFamily(sweep="alpha", variant="exterior", n=1000, cluster_dim=60)
+    spec = family.spec_for(4, 2.0**-5)
     omega = gaussian_matrix(spec.n, spec.b, RngStream(1, 78))
     v = block_lanczos(spec.operator(), omega, 4).V
     c = np.linalg.svd(v[:60], compute_uv=False)[-1]
@@ -530,8 +535,11 @@ def test_structural_bound_trial_gives_up_on_persistent_degeneracy(monkeypatch):
 
     monkeypatch.setattr(rsbl.robustness, "gaussian_matrix", zero_draw)
     # an all-zero Omega trips c_omega's 1e-14 partition-block gate on every draw
-    with pytest.raises(RuntimeError, match=r"^persistent degeneracy after 8 retries: .*1e-14"):
+    with pytest.raises(
+        SingularMatrixError, match=r"^persistent degeneracy after 8 retries: .*1e-14"
+    ) as info:
         structural_bound_trial(spec, seed=5, base_stream=3)
+    assert isinstance(info.value.__cause__, SingularMatrixError)
     assert streams == list(range(3, 12))
 
 
@@ -680,21 +688,26 @@ def test_lowrank_diag_preset_observed_within():
 
 
 def test_conjecture_experiment_single_trial_is_observation():
-    family = ExperimentFamily(sweep="beta", variant="exterior", n=120, cluster_dim=12)
-    out = conjecture_experiment(family, 1, master_seed=3, d_values=(2,))
-    assert [row.sweep_value for row in out] == list(family.sweep_values)
+    # 12 is divisible by every d of the alpha sweep (2, 3 and 4)
+    family = ExperimentFamily(sweep="alpha", variant="exterior", n=120, cluster_dim=12)
+    out = conjecture_experiment(family, 1, master_seed=3)
+    assert [(row.d, row.sweep_value) for row in out] == [
+        (d, value) for d in family.d_values for value in family.sweep_values
+    ]
     assert all(row.median == row.q25 == row.q75 for row in out)
-    again = conjecture_experiment(family, 1, master_seed=3, d_values=(2,))
+    again = conjecture_experiment(family, 1, master_seed=3)
     assert [row.median for row in out] == [row.median for row in again]
 
 
 def test_experiment_family_spec_layout():
     # at n = 1001 the 941 eigenvalues outside the cluster split 470 below, 471 above
     for n, below, above in ((1000, 470, 470), (1001, 470, 471)):
-        spec = ExperimentFamily(sweep="alpha", variant="interior", n=n).spec_for(3, 0.25)
+        family = ExperimentFamily(sweep="alpha", variant="interior", n=n, cluster_dim=60)
+        spec = family.spec_for(3, 0.25)
         assert spec.n == n and spec.b * spec.d == 60
         assert spec.lambda_perp.size == below + above
         assert (spec.lambda_perp < spec.cluster_min).sum() == below
         assert (spec.lambda_perp > spec.cluster_max).sum() == above
-    exterior = ExperimentFamily(sweep="beta", variant="exterior").spec_for(2, 0.5)
+    family = ExperimentFamily(sweep="beta", variant="exterior", n=1000, cluster_dim=60)
+    exterior = family.spec_for(2, 0.5)
     assert np.all(exterior.lambda_perp < exterior.cluster_min)
