@@ -12,11 +12,24 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 
+import numpy as np
+
 
 def derive_stream_id(key: str, trial: int) -> int:
     """Stable 64-bit stream id from a configuration key and trial index."""
     digest = hashlib.blake2b(f"{key}|{trial}".encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
+
+
+def sample_stream(seed: int, stream_id: int) -> np.random.Generator:
+    """Deterministic sample stream keyed by (seed, stream_id).
+
+    The same pair always reproduces the same sequence; distinct stream ids
+    give statistically independent streams. A stream is single-owner:
+    concurrent tasks must derive their own streams with distinct ids.
+    """
+    seed_seq = np.random.SeedSequence(seed, spawn_key=(stream_id,))
+    return np.random.Generator(np.random.PCG64(seed_seq))
 
 
 @dataclass

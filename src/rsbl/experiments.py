@@ -14,9 +14,9 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
-from .config import ExperimentConfig, derive_stream_id
+from .config import ExperimentConfig, derive_stream_id, sample_stream
 from .lanczos import BreakdownError, LinearOperator, NoConvergenceError, run_until_converged
-from .linalg import RngStream, gaussian_matrix
+from .linalg import gaussian_matrix
 from .robustness import (
     ClusterSpec,
     ExperimentFamily,
@@ -31,7 +31,7 @@ from .robustness import (
 
 def format_number(value) -> str:
     """Shortest round-trip decimal for floats, plain digits for ints."""
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
@@ -111,15 +111,22 @@ def _table1_targets(beta: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     return lam, np.concatenate([lam, lam_perp])
 
 
+# Draws of one table1 trial before it records -1: the first and three redraws
+# after a breakdown, which a Gaussian start meets with probability zero.
+TABLE1_DRAWS = 4
+# Stream-id stride between table1 trials; above TABLE1_DRAWS, so no two trials share an id.
+TABLE1_STREAM_STRIDE = 101
+
+
 def _matvecs_for_cell(config: ExperimentConfig, beta: float, b: int) -> list:
     lam, diag = _table1_targets(beta, config.n)
     key = config.canonical_key("table1", f"beta={beta!r}", f"b={b}")
     counts = []
     for trial in range(config.trials):
         count = -1
-        for retry in range(4):
-            rng = RngStream(config.seed, derive_stream_id(key, trial * 101 + retry))
-            omega = gaussian_matrix(config.n, b, rng)
+        for retry in range(TABLE1_DRAWS):
+            stream_id = derive_stream_id(key, trial * TABLE1_STREAM_STRIDE + retry)
+            omega = gaussian_matrix(config.n, b, sample_stream(config.seed, stream_id))
             try:
                 count, _ = run_until_converged(
                     LinearOperator.from_diagonal(diag),
@@ -141,6 +148,12 @@ def run_table1(config: ExperimentConfig) -> RunResult:
     """Matvec counts for convergence of the 32-eigenvalue cluster experiment."""
     if config.n < 32:
         raise ValueError(f"n must be >= 32 for table1's 32-eigenvalue cluster, got {config.n}")
+    for i, b in enumerate(config.b_list):
+        # run_until_converged's budget, whole blocks of b within n, must hold the 32 targets
+        if b * (config.n // b) < 32:
+            raise ValueError(
+                f"b_list[{i}] must have b * (n // b) >= 32 at n = {config.n}, got {b}"
+            )
     result = RunResult()
     rows = []
     medians: dict = {}
@@ -207,23 +220,26 @@ def run_cluster_robustness(config: ExperimentConfig) -> RunResult:
     result = RunResult()
     trials = config.trials
     variants = ("exterior", "interior") if config.variant == "both" else (config.variant,)
+    # built before any trial, so a config no family accepts runs none
+    families = [
+        ExperimentFamily(sweep=sweep, variant=variant, n=config.n, cluster_dim=config.cluster_dim)
+        for variant in variants
+        for sweep in ("beta", "alpha")
+    ]
     slope_rows = []
-    for variant in variants:
-        for sweep in ("beta", "alpha"):
-            family = ExperimentFamily(
-                sweep=sweep, variant=variant, n=config.n, cluster_dim=config.cluster_dim
-            )
-            summaries = conjecture_experiment(family, trials, config.seed)
-            result.outputs.append((
-                f"cluster_{variant}_{sweep}.csv",
-                ("d", "abscissa", "relgap", "median", "q25", "q75", "trials"),
-                [astuple(s) for s in summaries],
-            ))
-            for d in family.d_values:
-                pts = [s for s in summaries if s.d == d]
-                xs = [s.sweep_value if sweep == "beta" else s.relgap for s in pts]
-                slope, intercept, r2 = fit_loglog(xs, [s.median for s in pts])
-                slope_rows.append((variant, sweep, d, slope, intercept, r2))
+    for family in families:
+        variant, sweep = family.variant, family.sweep
+        summaries = conjecture_experiment(family, trials, config.seed)
+        result.outputs.append((
+            f"cluster_{variant}_{sweep}.csv",
+            ("d", "abscissa", "relgap", "median", "q25", "q75", "trials"),
+            [astuple(s) for s in summaries],
+        ))
+        for d in family.d_values:
+            pts = [s for s in summaries if s.d == d]
+            xs = [s.sweep_value if sweep == "beta" else s.relgap for s in pts]
+            slope, intercept, r2 = fit_loglog(xs, [s.median for s in pts])
+            slope_rows.append((variant, sweep, d, slope, intercept, r2))
     result.outputs += [
         ("cluster_slopes.csv", ("variant", "sweep", "d", "slope", "intercept", "r2"), slope_rows),
         ("plot_cluster_robustness.py", _PLOT_SCRIPT),
@@ -238,7 +254,7 @@ def run_cluster_robustness(config: ExperimentConfig) -> RunResult:
 BOUND_VERIFY_N_PER_BLOCK = 24
 
 
-def bound_verify_spec(b: int, d: int, trial_rng: RngStream) -> ClusterSpec:
+def bound_verify_spec(b: int, d: int, trial_rng: np.random.Generator) -> ClusterSpec:
     """Random well-separated spec for structural-bound trials.
 
     Cluster block k draws its eigenvalues in ``[1 + 0.3k, 1.15 + 0.3k]``,
@@ -270,7 +286,7 @@ def run_bound_verify(config: ExperimentConfig) -> RunResult:
         for d in config.d_list:
             key = config.canonical_key("bound-verify", f"b={b}", f"d={d}")
             for trial in range(config.trials):
-                spec_rng = RngStream(config.seed, derive_stream_id(key, trial))
+                spec_rng = sample_stream(config.seed, derive_stream_id(key, trial))
                 spec = bound_verify_spec(b, d, spec_rng)
                 report = structural_bound_trial(
                     spec,
@@ -323,7 +339,7 @@ def run_sandwich(config: ExperimentConfig) -> RunResult:
     rows = []
     key = config.canonical_key("sandwich")
     for trial in range(config.trials):
-        rng = RngStream(config.seed, derive_stream_id(key, trial))
+        rng = sample_stream(config.seed, derive_stream_id(key, trial))
         b = config.b_list[trial % len(config.b_list)]
         b1 = gaussian_matrix(b, b, rng)
         b2 = gaussian_matrix(b, b, rng)
@@ -341,11 +357,13 @@ def run_sandwich(config: ExperimentConfig) -> RunResult:
 
 def run_lowrank(config: ExperimentConfig) -> RunResult:
     """Observational low-rank approximation report on a synthetic matrix."""
+    if config.nrows < config.n:
+        raise ValueError(f"nrows must be >= n = {config.n} for lowrank, got {config.nrows}")
     result = RunResult()
-    rng = RngStream(config.seed, derive_stream_id(config.canonical_key("lowrank"), 0))
+    rng = sample_stream(config.seed, derive_stream_id(config.canonical_key("lowrank"), 0))
     sigma = np.linspace(10.0, 1.0, config.n)
-    q_left, _ = np.linalg.qr(rng.standard_normal(config.nrows, config.n))
-    q_right, _ = np.linalg.qr(rng.standard_normal(config.n, config.n))
+    q_left, _ = np.linalg.qr(rng.standard_normal((config.nrows, config.n)))
+    q_right, _ = np.linalg.qr(rng.standard_normal((config.n, config.n)))
     a_hat = (q_left * sigma) @ q_right.T
     b, d = config.b_list[0], config.d_list[0]
     report = lowrank_check(a_hat, b, d, config.ell, config.eps, rng)

@@ -1,13 +1,12 @@
-"""Dense double-precision linear-algebra kernels and seeded Gaussian sampling.
+"""Dense double-precision linear-algebra kernels and Gaussian sampling.
 
 Every kernel is a deterministic function of its inputs; randomness enters
-only through an explicit :class:`RngStream`. Matrices are plain float64
+only through an explicit numpy ``Generator``. Matrices are plain float64
 numpy arrays in row-major order, validated at the public entry points.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,35 +45,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return _require_finite(_as_float64(a, name, stack=False), name)
 
 
-@dataclass
-class RngStream:
-    """Deterministic Gaussian sample stream keyed by (seed, stream_id).
-
-    The same pair always reproduces the same sequence; distinct stream ids
-    give statistically independent streams. A stream is single-owner:
-    concurrent tasks must derive their own streams with distinct ids.
-    """
-
-    seed: int
-    stream_id: int = 0
-    _gen: np.random.Generator = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ss = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
-        self._gen = np.random.Generator(np.random.PCG64(ss))
-
-    def standard_normal(self, rows: int, cols: int) -> np.ndarray:
-        return self._gen.standard_normal((rows, cols))
-
-    def uniform(self, low: float, high: float, count: int) -> np.ndarray:
-        return self._gen.uniform(low, high, count)
-
-
-def gaussian_matrix(rows: int, cols: int, rng: RngStream) -> np.ndarray:
+def gaussian_matrix(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     """Draw a rows-by-cols matrix of i.i.d. standard normal entries from rng."""
     if rows < 1 or cols < 1:
         raise ValueError("gaussian_matrix requires rows, cols >= 1")
-    return rng.standard_normal(rows, cols)
+    return rng.standard_normal((rows, cols))
 
 
 # CholeskyQR2 runs only while ||R1||_F ||inv(R1)||_F stays at or below this:

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import derive_stream_id
+from .config import derive_stream_id, sample_stream
 from .lanczos import LinearOperator, block_lanczos, krylov_basis, rayleigh_ritz
 from .linalg import (
-    RngStream,
     SingularMatrixError,
     as_matrix,
     gated_svals,
@@ -263,7 +262,7 @@ def structural_bound_trial(
         raise ValueError("structural bound requires a positive relgap")
     last_exc: Exception | None = None
     for attempt in range(MAX_RETRIES + 1):
-        rng = RngStream(seed, stream_id=base_stream + attempt)
+        rng = sample_stream(seed, base_stream + attempt)
         omega = gaussian_matrix(spec.n, spec.b, rng)
         try:
             blocks = spec.omega_blocks(omega)
@@ -311,7 +310,7 @@ class ExperimentFamily:
     halves beta twelve times; the alpha sweep fixes ``beta = 1e-4`` and
     halves alpha ten times. The out-of-cluster spectrum makes the cluster
     either exterior (all other eigenvalues below) or interior (half below,
-    half above, the odd one above).
+    half above, the odd one above). Every d divides ``cluster_dim``, which is at most ``n``.
     """
 
     sweep: str
@@ -324,6 +323,13 @@ class ExperimentFamily:
             raise ValueError("sweep must be 'beta' or 'alpha'")
         if self.variant not in ("exterior", "interior"):
             raise ValueError("variant must be 'exterior' or 'interior'")
+        if any(self.cluster_dim % d for d in self.d_values):
+            d_text = ", ".join(map(str, self.d_values))
+            raise ValueError(
+                f"cluster_dim must be divisible by d = {d_text}, got {self.cluster_dim}"
+            )
+        if self.n < self.cluster_dim:
+            raise ValueError(f"n must be >= cluster_dim = {self.cluster_dim}, got {self.n}")
 
     @property
     def d_values(self) -> tuple:
@@ -335,8 +341,6 @@ class ExperimentFamily:
         return tuple(2.0 ** -i for i in range(1, count + 1))
 
     def spec_for(self, d: int, value: float) -> ClusterSpec:
-        if self.cluster_dim % d != 0:
-            raise ValueError(f"cluster dimension {self.cluster_dim} not divisible by d={d}")
         b = self.cluster_dim // d
         alpha, beta = (1.0, value) if self.sweep == "beta" else (value, 1e-4)
         blocks = tuple(
@@ -417,7 +421,7 @@ def conjecture_experiment(
             )
             samples = np.empty(trials)
             for t in range(trials):
-                rng = RngStream(master_seed, derive_stream_id(key, t))
+                rng = sample_stream(master_seed, derive_stream_id(key, t))
                 omega = gaussian_matrix(spec.n, spec.b, rng)
                 samples[t] = tan_angle_krylov(spec, omega, d)
             samples.sort()
@@ -488,7 +492,7 @@ def probe_solvent_difference(
     om_i = np.empty((trials, b, b))
     om_j = np.empty((trials, b, b))
     for t in range(trials):
-        rng = RngStream(master_seed, derive_stream_id(key, t))
+        rng = sample_stream(master_seed, derive_stream_id(key, t))
         om_i[t] = gaussian_matrix(b, b, rng)
         om_j[t] = gaussian_matrix(b, b, rng)
     samples = np.sort(smallest_singular(conjugate(om_i, lam_i) - conjugate(om_j, lam_j)))
@@ -514,7 +518,9 @@ class LowRankReport:
     rayleigh_within: bool
 
 
-def lowrank_check(a_hat, b: int, d: int, steps: int, eps: float, rng: RngStream) -> LowRankReport:
+def lowrank_check(
+    a_hat, b: int, d: int, steps: int, eps: float, rng: np.random.Generator
+) -> LowRankReport:
     """Measure block-Krylov low-rank approximation quality (report only).
 
     Runs block Lanczos on the Gram operator of ``a_hat``, projects onto the

@@ -9,8 +9,8 @@ chain of solvents; the brute-force block Vandermonde solve
 returns), the one-node-at-a-time chain recurrence, the growth-inequality
 check and the Chebyshev depth reference live here as the oracles that
 check it. So do the test-only helpers the
-package itself never calls (the dense operator and the operator symmetry
-spot-check).
+package itself never calls (the dense operator, the operator symmetry
+spot-check and the stream-id recorder).
 """
 import importlib
 import math
@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from rsbl.config import sample_stream
 from rsbl.lanczos import LinearOperator, NoConvergenceError, _Process, krylov_basis, match_targets
 from rsbl.linalg import SingularMatrixError, as_matrix, solve_linear, spectral_norm
 from rsbl.matpoly import (
@@ -42,13 +43,25 @@ def symmetry_defect(op, rng, probes: int = 3) -> float:
     """
     worst = 0.0
     for _ in range(probes):
-        x = rng.standard_normal(op.n, 1)
-        y = rng.standard_normal(op.n, 1)
+        x = rng.standard_normal((op.n, 1))
+        y = rng.standard_normal((op.n, 1))
         ax = op.apply(x)
         ay = op.apply(y)
         defect = abs((x.T @ ay).item() - (y.T @ ax).item())
         worst = max(worst, defect / (np.linalg.norm(x) * np.linalg.norm(y)))
     return worst
+
+
+def record_stream_ids(monkeypatch, module) -> list:
+    """Patch ``module.sample_stream`` to log each stream id it opens; return the log."""
+    opened = []
+
+    def recording(seed, stream_id):
+        opened.append(stream_id)
+        return sample_stream(seed, stream_id)
+
+    monkeypatch.setattr(module, "sample_stream", recording)
+    return opened
 
 
 def dense_operator(a) -> LinearOperator:

@@ -28,7 +28,8 @@ from helpers import (
     random_polynomial,
 )
 from rsbl.cli import main
-from rsbl.linalg import RngStream, gaussian_matrix
+from rsbl.config import sample_stream
+from rsbl.linalg import gaussian_matrix
 from rsbl.matpoly import (
     NodeSet,
     block_vandermonde,
@@ -313,7 +314,7 @@ def test_criterion_10_chebyshev_acceleration():
         b = int(rng.integers(1, 4))
         d = int(rng.integers(2, 4))
         spec = random_cluster_spec(rng, b, d, m=int(rng.integers(d + 6, 17)))
-        omega = gaussian_matrix(spec.n, b, RngStream(555000 + trial))
+        omega = gaussian_matrix(spec.n, b, sample_stream(555000 + trial, 0))
         measured, reference, holds = chebyshev_accel_check(spec, omega, d + 5)
         if not holds:
             fails.append((trial, measured, reference))
@@ -349,7 +350,7 @@ def test_criterion_11_multiplicity_obstruction():
             cluster_min=0.9,
             cluster_max=2.8 + 0.4 * d,
         )
-        omega = gaussian_matrix(n, b, RngStream(777000 + trial))
+        omega = gaussian_matrix(n, b, sample_stream(777000 + trial, 0))
         for steps in (d, d + 1, d + 2):
             if not math.isinf(tan_angle_krylov(spec, omega, steps)):
                 finite_hits += 1

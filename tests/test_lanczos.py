@@ -9,8 +9,8 @@ from helpers import (
     symmetry_defect,
     textbook_block_lanczos_count,
 )
-from rsbl.config import ExperimentConfig, derive_stream_id
-from rsbl.experiments import _matvecs_for_cell, _table1_targets
+from rsbl.config import ExperimentConfig, derive_stream_id, sample_stream
+from rsbl.experiments import TABLE1_STREAM_STRIDE, _matvecs_for_cell, _table1_targets
 from rsbl.lanczos import (
     SENTINEL_MARGIN,
     STURM_MARGIN,
@@ -26,7 +26,7 @@ from rsbl.lanczos import (
     rayleigh_ritz,
     run_until_converged,
 )
-from rsbl.linalg import RankDeficientError, RngStream, gaussian_matrix
+from rsbl.linalg import RankDeficientError, gaussian_matrix
 
 
 def diag_operator(values):
@@ -35,7 +35,7 @@ def diag_operator(values):
 
 def test_identity_operator_single_step():
     op = diag_operator(np.ones(10))
-    omega = gaussian_matrix(10, 2, RngStream(0))
+    omega = gaussian_matrix(10, 2, sample_stream(0, 0))
     basis = block_lanczos(op, omega, 1)
     assert op.matvec_count == 2
     assert np.allclose(basis.T, np.eye(2), atol=1e-14)
@@ -46,7 +46,7 @@ def test_identity_operator_single_step():
 def test_full_dimension_matches_dense_eig():
     values = np.arange(1.0, 11.0)
     op = diag_operator(values)
-    omega = gaussian_matrix(10, 1, RngStream(1))
+    omega = gaussian_matrix(10, 1, sample_stream(1, 0))
     basis = block_lanczos(op, omega, 10)
     ritz = rayleigh_ritz(basis, 10)
     assert np.allclose(ritz.values, values, atol=1e-9)
@@ -58,7 +58,7 @@ def test_basis_invariants():
     a = rng.standard_normal((40, 40))
     a = a + a.T
     op = dense_operator(a)
-    omega = gaussian_matrix(40, 3, RngStream(3))
+    omega = gaussian_matrix(40, 3, sample_stream(3, 0))
     basis = block_lanczos(op, omega, 5)
     v = basis.V
     dim = 15
@@ -85,7 +85,7 @@ def test_orthogonality_at_table1_depth(beta, b):
     n = 2000
     _, diag = _table1_targets(beta, n)
     steps = -(-400 // b)
-    omega = gaussian_matrix(n, b, RngStream(30, b))
+    omega = gaussian_matrix(n, b, sample_stream(30, b))
     basis = block_lanczos(diag_operator(diag), omega, steps)
     gram, remainder = _orthogonality_defects(basis)
     assert basis.V.shape[1] >= 400
@@ -115,7 +115,7 @@ def test_dgks_pass_restores_orthogonality(b):
 
 def test_projected_matrix_is_block_tridiagonal():
     op = diag_operator(np.linspace(-1.0, 1.0, 30))
-    omega = gaussian_matrix(30, 2, RngStream(4))
+    omega = gaussian_matrix(30, 2, sample_stream(4, 0))
     basis = block_lanczos(op, omega, 5)
     t = basis.T
     for i in range(5):
@@ -129,7 +129,7 @@ def test_breakdown_on_invariant_subspace():
     # the remainder vanishes to roundoff: the scale gate in advance trips,
     # not the rank gate inside qr_factor
     op = diag_operator(np.ones(10))
-    omega = gaussian_matrix(10, 2, RngStream(5))
+    omega = gaussian_matrix(10, 2, sample_stream(5, 0))
     with pytest.raises(BreakdownError) as info:
         block_lanczos(op, omega, 2)
     assert info.value.step == 2
@@ -141,7 +141,7 @@ def test_breakdown_on_rank_deficient_block():
     # dimension 5, so the third block keeps one direction of norm O(1)
     # and loses the other: qr_factor's rank gate trips
     op = diag_operator([1.0, 2.0, 3.0] + [0.0] * 9)
-    omega = gaussian_matrix(12, 2, RngStream(16))
+    omega = gaussian_matrix(12, 2, sample_stream(16, 0))
     with pytest.raises(BreakdownError) as info:
         block_lanczos(op, omega, 3)
     assert info.value.step == 3
@@ -158,7 +158,7 @@ def test_breakdown_on_rank_deficient_initial_block():
 def test_matvec_counter_is_exact():
     for steps in (1, 3, 7):
         op = diag_operator(np.linspace(1.0, 2.0, 50))
-        omega = gaussian_matrix(50, 4, RngStream(6))
+        omega = gaussian_matrix(50, 4, sample_stream(6, 0))
         block_lanczos(op, omega, steps)
         assert op.matvec_count == 4 * steps
 
@@ -168,7 +168,7 @@ def test_krylov_basis_matches_block_lanczos_bitwise(b):
     rng = np.random.default_rng(20)
     a = rng.standard_normal((30, 30))
     a = a + a.T
-    omega = gaussian_matrix(30, b, RngStream(21, b))
+    omega = gaussian_matrix(30, b, sample_stream(21, b))
     for steps in range(1, 6):
         full = block_lanczos(dense_operator(a), omega, steps)
         op = dense_operator(a)
@@ -192,7 +192,7 @@ def test_krylov_basis_matches_block_lanczos_bitwise(b):
 def test_basis_builders_reject_bad_steps_before_the_first_matvec(build, b, steps, message):
     # n = 10; the oversize requests ask for b * steps = 12, 11 and 12 columns
     op = diag_operator(np.linspace(1.0, 2.0, 10))
-    omega = gaussian_matrix(10, b, RngStream(19, b))
+    omega = gaussian_matrix(10, b, sample_stream(19, b))
     with pytest.raises(ValueError, match=f"^{message}$"):
         build(op, omega, steps)
     assert op.matvec_count == 0
@@ -206,7 +206,7 @@ def test_basis_builders_reject_bad_steps_before_the_first_matvec(build, b, steps
     ],
 )
 def test_krylov_basis_breaks_down_like_block_lanczos(values, b, seed, steps):
-    omega = gaussian_matrix(len(values), b, RngStream(seed))
+    omega = gaussian_matrix(len(values), b, sample_stream(seed, 0))
     errors = []
     for build in (block_lanczos, krylov_basis):
         with pytest.raises(BreakdownError) as info:
@@ -218,7 +218,7 @@ def test_krylov_basis_breaks_down_like_block_lanczos(values, b, seed, steps):
 
 def test_rayleigh_ritz_selection():
     op = diag_operator(np.arange(1.0, 13.0))
-    omega = gaussian_matrix(12, 2, RngStream(7))
+    omega = gaussian_matrix(12, 2, sample_stream(7, 0))
     basis = block_lanczos(op, omega, 6)
     full = rayleigh_ritz(basis, 12)
     assert np.all(np.diff(full.values) >= 0.0)
@@ -238,7 +238,7 @@ def test_match_targets_greedy():
 
 def test_run_until_converged_identity():
     op = diag_operator(np.ones(12))
-    omega = gaussian_matrix(12, 3, RngStream(9))
+    omega = gaussian_matrix(12, 3, sample_stream(9, 0))
     count, ritz_values = run_until_converged(op, omega, [1.0, 1.0, 1.0])
     assert count == 3
     assert np.allclose(ritz_values, 1.0)
@@ -247,7 +247,7 @@ def test_run_until_converged_identity():
 def test_run_until_converged_counts_multiple_of_b():
     values = np.concatenate([np.linspace(1.0, 1.5, 6), np.linspace(-1.0, 0.0, 30)])
     op = diag_operator(values)
-    omega = gaussian_matrix(36, 2, RngStream(10))
+    omega = gaussian_matrix(36, 2, sample_stream(10, 0))
     count, ritz_values = run_until_converged(op, omega, np.linspace(1.0, 1.5, 6), tol=1e-10)
     assert count % 2 == 0
     assert np.allclose(np.sort(ritz_values), np.linspace(1.0, 1.5, 6), atol=1e-10)
@@ -259,7 +259,7 @@ def test_tightening_tolerance_never_lowers_count():
     counts = []
     for tol in (1e-6, 1e-8, 1e-10, 1e-12):
         op = diag_operator(values)
-        omega = gaussian_matrix(40, 1, RngStream(11))
+        omega = gaussian_matrix(40, 1, sample_stream(11, 0))
         count, _ = run_until_converged(op, omega, targets, tol=tol)
         counts.append(count)
     assert counts == sorted(counts)
@@ -268,7 +268,7 @@ def test_tightening_tolerance_never_lowers_count():
 def test_run_until_converged_budget():
     values = np.concatenate([np.linspace(1.0, 1.0001, 8), np.linspace(-1.0, 0.0, 40)])
     op = diag_operator(values)
-    omega = gaussian_matrix(48, 1, RngStream(12))
+    omega = gaussian_matrix(48, 1, sample_stream(12, 0))
     with pytest.raises(NoConvergenceError):
         run_until_converged(op, omega, np.linspace(1.0, 1.0001, 8), tol=1e-14, max_matvecs=9)
 
@@ -287,7 +287,7 @@ def test_run_until_converged_budget():
 )
 def test_run_until_converged_rejects_bad_input_before_the_first_step(targets, tol):
     op = diag_operator(np.linspace(-1.0, 1.2, 40))
-    omega = gaussian_matrix(40, 2, RngStream(18))
+    omega = gaussian_matrix(40, 2, sample_stream(18, 0))
     with pytest.raises(ValueError, match="finite"):
         run_until_converged(op, omega, targets, tol=tol)
     assert op.matvec_count == 0
@@ -343,7 +343,7 @@ def ritz_checks(monkeypatch):
 def test_run_until_converged_matches_every_step_reference(ritz_checks):
     runs = steps = misses = 0
     for values, targets, b, seed, kwargs in _equivalence_cases():
-        omega = gaussian_matrix(values.size, b, RngStream(seed, b))
+        omega = gaussian_matrix(values.size, b, sample_stream(seed, b))
         expected = _outcome(run_until_converged_reference, diag_operator(values), omega, targets,
                             **kwargs)
         op = diag_operator(values)
@@ -414,7 +414,7 @@ def test_sturm_rounding_guard_drops_the_sentinel(ritz_checks):
     n = 90
     values = np.linspace(-50.0, 50.0, n)
     target = 0.5 * (values[44] + values[45])
-    omega = gaussian_matrix(n, 1, RngStream(33))
+    omega = gaussian_matrix(n, 1, sample_stream(33, 0))
     proc = _Process(diag_operator(values), omega, capacity=n)
     eps = np.finfo(np.float64).eps
     shift = abs(target) + 1e-10 + STURM_MARGIN
@@ -458,8 +458,8 @@ def test_run_until_converged_matches_textbook_block_lanczos(beta, b):
     lam, diag = _table1_targets(beta, config.n)
     key = config.canonical_key("table1", f"beta={beta!r}", f"b={b}")
     for trial in range(3):
-        omega = gaussian_matrix(config.n, b, RngStream(config.seed,
-                                                       derive_stream_id(key, trial * 101)))
+        stream_id = derive_stream_id(key, trial * TABLE1_STREAM_STRIDE)
+        omega = gaussian_matrix(config.n, b, sample_stream(config.seed, stream_id))
         count, _ = run_until_converged(diag_operator(diag), omega, lam, max_matvecs=1024 * b)
         assert count == textbook_block_lanczos_count(diag, omega, lam, max_matvecs=1024 * b)
 
@@ -481,7 +481,7 @@ def test_table1_run_builds_one_sentinel_and_extends_it_once_per_step(monkeypatch
     b = 4
     lam, diag = _table1_targets(0.01, 2000)
     op = diag_operator(diag)
-    omega = gaussian_matrix(2000, b, RngStream(19, b))
+    omega = gaussian_matrix(2000, b, sample_stream(19, b))
     count, _ = run_until_converged(op, omega, lam, max_matvecs=1024 * b)
     assert count == op.matvec_count
     assert len(built) == 1
@@ -492,7 +492,7 @@ def test_sentinel_window_covers_the_whole_tolerance():
     # the target sits 0.9 tol above the top Ritz value of step 5, which
     # climbed from far below: only the full-width window sees it arrive
     values = np.linspace(-1.0, 1.0, 60)
-    omega = gaussian_matrix(60, 1, RngStream(31))
+    omega = gaussian_matrix(60, 1, sample_stream(31, 0))
     tol = 1e-4
     theta = [np.linalg.eigvalsh(block_lanczos(diag_operator(values), omega, k).T)[-1]
              for k in (4, 5)]
@@ -566,7 +566,7 @@ def test_krylov_spaces_nest_bitwise(b, k, extra, seed):
 
 def test_shift_scale_invariance_of_span():
     values = np.linspace(-2.0, 2.0, 30)
-    omega = gaussian_matrix(30, 2, RngStream(13))
+    omega = gaussian_matrix(30, 2, sample_stream(13, 0))
     basis_a = block_lanczos(diag_operator(values), omega, 4)
     basis_b = block_lanczos(diag_operator(3.0 * values + 0.7), omega, 4)
     # sine of the largest principal angle between the two spans
@@ -579,5 +579,5 @@ def test_symmetry_defect_helper():
     a = rng.standard_normal((20, 20))
     a = a + a.T
     op = dense_operator(a)
-    defect = symmetry_defect(op, RngStream(15), probes=4)
+    defect = symmetry_defect(op, sample_stream(15, 0), probes=4)
     assert defect <= 1e-10 * np.linalg.norm(a, 2)

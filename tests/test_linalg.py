@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from helpers import cholesky_qr2
 from rsbl import linalg
+from rsbl.config import sample_stream
 from rsbl.linalg import (
     RankDeficientError,
-    RngStream,
     SingularMatrixError,
     gated_svals,
     gaussian_matrix,
@@ -22,23 +22,23 @@ from rsbl.linalg import (
 
 
 def test_gaussian_deterministic_per_stream():
-    a = gaussian_matrix(8, 5, RngStream(7, 0))
-    b = gaussian_matrix(8, 5, RngStream(7, 0))
+    a = gaussian_matrix(8, 5, sample_stream(7, 0))
+    b = gaussian_matrix(8, 5, sample_stream(7, 0))
     assert np.array_equal(a, b)
-    c = gaussian_matrix(8, 5, RngStream(7, 1))
+    c = gaussian_matrix(8, 5, sample_stream(7, 1))
     assert not np.array_equal(a, c)
 
 
 def test_gaussian_shape_and_finiteness():
-    m = gaussian_matrix(2, 3, RngStream(0))
+    m = gaussian_matrix(2, 3, sample_stream(0, 0))
     assert m.shape == (2, 3)
     assert np.isfinite(m).all()
     with pytest.raises(ValueError):
-        gaussian_matrix(0, 3, RngStream(0))
+        gaussian_matrix(0, 3, sample_stream(0, 0))
 
 
 def test_gaussian_moments():
-    samples = gaussian_matrix(1000, 1000, RngStream(42)).ravel()
+    samples = gaussian_matrix(1000, 1000, sample_stream(42, 0)).ravel()
     assert abs(samples.mean()) <= 4e-3
     assert abs(samples.var() - 1.0) <= 1e-2
 

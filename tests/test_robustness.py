@@ -13,10 +13,12 @@ from helpers import (
     chebyshev_value,
     fundamental_norms_loop,
     lagrange_scalar,
+    record_stream_ids,
 )
+from rsbl.config import sample_stream
 from rsbl.experiments import bound_verify_spec
 from rsbl.lanczos import block_lanczos
-from rsbl.linalg import RngStream, SingularMatrixError, gaussian_matrix
+from rsbl.linalg import SingularMatrixError, gaussian_matrix
 from rsbl.matpoly import ChainBreakdownError, NodeSet, solvent_chain
 from rsbl.robustness import (
     ClusterSpec,
@@ -133,7 +135,7 @@ def test_multiplicity_obstruction_returns_infinity():
         cluster_min=0.9, cluster_max=1.4,
     )
     for trial in range(5):
-        omega = gaussian_matrix(20, 2, RngStream(trial))
+        omega = gaussian_matrix(20, 2, sample_stream(trial, 0))
         for steps in (2, 3, 4):
             assert tan_angle_krylov(spec, omega, steps) == math.inf
 
@@ -143,7 +145,7 @@ def test_krylov_tangent_counts_cosines_below_least_squares_cutoff():
     # 60 * eps * s_max cut-off a least-squares solve with rcond=None applies
     family = ExperimentFamily(sweep="alpha", variant="exterior", n=1000, cluster_dim=60)
     spec = family.spec_for(4, 2.0**-5)
-    omega = gaussian_matrix(spec.n, spec.b, RngStream(1, 78))
+    omega = gaussian_matrix(spec.n, spec.b, sample_stream(1, 78))
     v = block_lanczos(spec.operator(), omega, 4).V
     c = np.linalg.svd(v[:60], compute_uv=False)[-1]
     assert 1e-14 <= c < 60 * np.finfo(np.float64).eps
@@ -247,7 +249,7 @@ def test_route_equivalence():
         b = int(rng.integers(1, 4))
         d = int(rng.integers(1, 4))
         spec = make_spec(rng, b, d, m=int(rng.integers(d + 2, 16)))
-        omega = gaussian_matrix(spec.n, b, RngStream(100 + trial))
+        omega = gaussian_matrix(spec.n, b, sample_stream(100 + trial, 0))
         t_k = tan_angle_krylov(spec, omega, d)
         t_v = vandermonde_tangent(spec, omega)
         assert t_k == pytest.approx(t_v, rel=1e-6)
@@ -256,7 +258,7 @@ def test_route_equivalence():
 def test_vandermonde_route_d1_reduction():
     rng = np.random.default_rng(2)
     spec = make_spec(rng, 3, 1, m=6)
-    omega = gaussian_matrix(spec.n, 3, RngStream(3))
+    omega = gaussian_matrix(spec.n, 3, sample_stream(3, 0))
     blocks = spec.omega_blocks(omega)
     expected = np.linalg.norm(np.vstack(blocks[1:]) @ np.linalg.inv(blocks[0]), 2)
     assert vandermonde_tangent(spec, omega) == pytest.approx(expected, rel=1e-10)
@@ -272,7 +274,7 @@ def test_route_equivalence_property(b, dm, seed):
     # criterion 6's bar: the routes agree to 1e-6 wherever cond_1(K) < 1e8
     d, m = dm
     spec = make_spec(np.random.default_rng(seed), b, d, m=m)
-    omega = gaussian_matrix(spec.n, b, RngStream(seed))
+    omega = gaussian_matrix(spec.n, b, sample_stream(seed, 0))
     blocks = spec.omega_blocks(omega)
     nodes = NodeSet(spec.lambda_blocks, tuple(blocks[:d]))
     t_v, k_mat = tan_angle_vandermonde(spec, blocks, nodes)
@@ -285,7 +287,7 @@ def test_vandermonde_route_zero_trailing_block(b, d):
     # the trailing rows are diag(lambda_perp)^p Omega_perp, so a zero trailing block
     # is just zero rows of K_perp
     spec = make_spec(np.random.default_rng(40 + b + d), b, d, m=8)
-    omega = gaussian_matrix(spec.n, b, RngStream(41))
+    omega = gaussian_matrix(spec.n, b, sample_stream(41, 0))
     omega[-b:] = 0.0
     lam = spec.spectrum()[:, None]
     k_full = np.hstack([lam**p * omega for p in range(d)])
@@ -307,7 +309,7 @@ def _affine_image(spec: ClusterSpec, scale: float, shift: float) -> ClusterSpec:
 def test_affine_invariance_of_angle():
     rng = np.random.default_rng(4)
     spec = make_spec(rng, 2, 3, m=12)
-    omega = gaussian_matrix(spec.n, 2, RngStream(5))
+    omega = gaussian_matrix(spec.n, 2, sample_stream(5, 0))
     t1 = tan_angle_krylov(spec, omega, 3)
     t2 = tan_angle_krylov(_affine_image(spec, 2.5, -0.4), omega, 3)
     assert t1 == pytest.approx(t2, rel=1e-8)
@@ -324,7 +326,7 @@ def test_affine_invariance_of_angle():
 def test_affine_invariance_of_angle_property(b, d, scale, shift, seed):
     # span{A^j Omega} = span{(aA + sI)^j Omega} for a != 0
     spec = make_spec(np.random.default_rng(seed), b, d)
-    omega = gaussian_matrix(spec.n, b, RngStream(seed))
+    omega = gaussian_matrix(spec.n, b, sample_stream(seed, 0))
     t1 = tan_angle_krylov(spec, omega, d)
     t2 = tan_angle_krylov(_affine_image(spec, scale, shift), omega, d)
     assert t1 == pytest.approx(t2, rel=1e-8)
@@ -333,7 +335,7 @@ def test_affine_invariance_of_angle_property(b, d, scale, shift, seed):
 def test_monotone_improvement_with_depth():
     rng = np.random.default_rng(6)
     spec = make_spec(rng, 2, 2, m=14)
-    omega = gaussian_matrix(spec.n, 2, RngStream(7))
+    omega = gaussian_matrix(spec.n, 2, sample_stream(7, 0))
     tans = [tan_angle_krylov(spec, omega, steps) for steps in (2, 3, 4, 5)]
     for prev, nxt in zip(tans, tans[1:]):
         assert nxt <= prev * (1.0 + 1e-10)
@@ -350,7 +352,7 @@ def test_c_omega_orthogonal_blocks():
 def test_c_omega_matches_direct_recomputation():
     rng = np.random.default_rng(9)
     spec = make_spec(rng, 2, 2, m=6)
-    omega = gaussian_matrix(spec.n, 2, RngStream(10))
+    omega = gaussian_matrix(spec.n, 2, sample_stream(10, 0))
     blocks = [omega[2 * i:2 * i + 2] for i in range(6)]
     inv_lead = max(np.linalg.norm(np.linalg.inv(blk), 2) for blk in blocks[:2])
     norm_tail = max(np.linalg.norm(blk, 2) for blk in blocks[2:])
@@ -364,7 +366,7 @@ def test_c_omega_matches_direct_recomputation():
 def test_c_omega_rejects_missing_tail():
     rng = np.random.default_rng(11)
     spec = make_spec(rng, 2, 2, m=2)
-    omega = gaussian_matrix(4, 2, RngStream(12))
+    omega = gaussian_matrix(4, 2, sample_stream(12, 0))
     with pytest.raises(ValueError):
         c_omega(spec, omega)
 
@@ -373,7 +375,7 @@ def test_c_omega_rejects_singular_block():
     rng = np.random.default_rng(24)
     spec = make_spec(rng, 2, 2, m=6)
     for block in (np.ones((2, 2)), np.zeros((2, 2))):
-        omega = gaussian_matrix(spec.n, 2, RngStream(25))
+        omega = gaussian_matrix(spec.n, 2, sample_stream(25, 0))
         omega[6:8] = block
         with pytest.raises(SingularMatrixError, match="1e-14"):
             c_omega(spec, omega)
@@ -382,7 +384,7 @@ def test_c_omega_rejects_singular_block():
 def test_growth_gd_single_node_is_one():
     rng = np.random.default_rng(13)
     spec = make_spec(rng, 2, 1, m=8)
-    omega = gaussian_matrix(spec.n, 2, RngStream(14))
+    omega = gaussian_matrix(spec.n, 2, sample_stream(14, 0))
     nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(omega)[:1]))
     chains = solvent_chain(nodes)
     assert growth_Gd(spec, chains) == pytest.approx(1.0, rel=1e-12)
@@ -391,7 +393,7 @@ def test_growth_gd_single_node_is_one():
 def test_growth_gd_scalar_matches_lagrange():
     rng = np.random.default_rng(15)
     spec = make_spec(rng, 1, 3, m=10)
-    omega = gaussian_matrix(spec.n, 1, RngStream(16))
+    omega = gaussian_matrix(spec.n, 1, sample_stream(16, 0))
     nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(omega)[:3]))
     chains = solvent_chain(nodes)
     got = growth_Gd(spec, chains, grid_size=500)
@@ -407,7 +409,7 @@ def test_growth_gd_matches_pointwise_loop():
     rng = np.random.default_rng(20)
     for b, d in ((1, 3), (2, 2), (3, 3)):
         spec = make_spec(rng, b, d, m=10)
-        omega = gaussian_matrix(spec.n, b, RngStream(21))
+        omega = gaussian_matrix(spec.n, b, sample_stream(21, 0))
         nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(omega)[:d]))
         chains = solvent_chain(nodes)
         expected = fundamental_norms_loop(chains, outside_grid(spec, 300)).max()
@@ -417,7 +419,7 @@ def test_growth_gd_matches_pointwise_loop():
 def test_growth_gd_rejects_non_finite_values():
     rng = np.random.default_rng(22)
     spec = make_spec(rng, 2, 2, m=8)
-    omega = gaussian_matrix(spec.n, 2, RngStream(23))
+    omega = gaussian_matrix(spec.n, 2, sample_stream(23, 0))
     nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(omega)[:2]))
     chains = solvent_chain(nodes)
     bad = chains.s_head_inv.copy()
@@ -431,7 +433,7 @@ def test_growth_gd_rejects_non_finite_values():
 def test_growth_gd_grid_refinement_stable():
     rng = np.random.default_rng(17)
     spec = make_spec(rng, 2, 2, m=10)
-    omega = gaussian_matrix(spec.n, 2, RngStream(18))
+    omega = gaussian_matrix(spec.n, 2, sample_stream(18, 0))
     nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(omega)[:2]))
     chains = solvent_chain(nodes)
     g1 = growth_Gd(spec, chains, grid_size=1000)
@@ -526,11 +528,10 @@ def test_structural_bound_trial_resamples_chain_breakdown(monkeypatch):
 def test_structural_bound_trial_gives_up_on_persistent_degeneracy(monkeypatch):
     import rsbl.robustness
 
-    spec = bound_verify_spec(2, 3, RngStream(41))
-    streams = []
+    spec = bound_verify_spec(2, 3, sample_stream(41, 0))
+    streams = record_stream_ids(monkeypatch, rsbl.robustness)
 
     def zero_draw(rows, cols, rng):
-        streams.append(rng.stream_id)
         return np.zeros((rows, cols))
 
     monkeypatch.setattr(rsbl.robustness, "gaussian_matrix", zero_draw)
@@ -546,12 +547,11 @@ def test_structural_bound_trial_gives_up_on_persistent_degeneracy(monkeypatch):
 def test_structural_bound_trial_resample_is_the_next_stream(monkeypatch):
     import rsbl.robustness
 
-    spec = bound_verify_spec(2, 3, RngStream(42))
+    spec = bound_verify_spec(2, 3, sample_stream(42, 0))
     expected = structural_bound_trial(spec, seed=5, base_stream=1)
-    streams = []
+    streams = record_stream_ids(monkeypatch, rsbl.robustness)
 
     def first_draw_zero(rows, cols, rng):
-        streams.append(rng.stream_id)
         omega = gaussian_matrix(rows, cols, rng)
         return np.zeros_like(omega) if len(streams) == 1 else omega
 
@@ -565,7 +565,7 @@ def test_structural_bound_trial_resample_is_the_next_stream(monkeypatch):
 def test_vandermonde_route_k_gate():
     # at d = 1 the Vandermonde matrix is I, so K is the leading partition block
     spec = make_spec(np.random.default_rng(28), 2, 1, m=6)
-    omega = gaussian_matrix(spec.n, 2, RngStream(29))
+    omega = gaussian_matrix(spec.n, 2, sample_stream(29, 0))
     nodes = NodeSet(spec.lambda_blocks, (np.eye(2),))
     omega[:2] = np.diag([1.0, 1e-14])
     with pytest.raises(SingularMatrixError, match="1e-14"):
@@ -635,7 +635,7 @@ def test_chebyshev_value_closed_form():
 def test_chebyshev_accel_equality_at_d():
     rng = np.random.default_rng(21)
     spec = make_spec(rng, 2, 2, m=10)
-    omega = gaussian_matrix(spec.n, 2, RngStream(22))
+    omega = gaussian_matrix(spec.n, 2, sample_stream(22, 0))
     measured, reference, holds = chebyshev_accel_check(spec, omega, 2)
     assert holds
     assert measured == pytest.approx(reference, rel=1e-12)
@@ -647,7 +647,7 @@ def test_chebyshev_accel_random_specs():
         b = int(rng.integers(1, 3))
         d = int(rng.integers(2, 4))
         spec = make_spec(rng, b, d, m=14)
-        omega = gaussian_matrix(spec.n, b, RngStream(200 + trial))
+        omega = gaussian_matrix(spec.n, b, sample_stream(200 + trial, 0))
         measured, reference, holds = chebyshev_accel_check(spec, omega, d + 5)
         assert holds, (measured, reference)
 
@@ -655,7 +655,7 @@ def test_chebyshev_accel_random_specs():
 def test_chebyshev_accel_zero_gap():
     blocks = (np.array([1.0]), np.array([2.0]))
     spec = ClusterSpec(4, 1, 2, blocks, np.array([2.5, 3.0]), 1.0, 2.0)
-    omega = gaussian_matrix(4, 1, RngStream(24))
+    omega = gaussian_matrix(4, 1, sample_stream(24, 0))
     with pytest.raises(ZeroGapError):
         chebyshev_accel_check(spec, omega, 3)
 
@@ -663,7 +663,7 @@ def test_chebyshev_accel_zero_gap():
 def test_lowrank_orthogonal_full_rank():
     rng = np.random.default_rng(25)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    report = lowrank_check(q, b=6, d=1, steps=1, eps=0.1, rng=RngStream(26))
+    report = lowrank_check(q, b=6, d=1, steps=1, eps=0.1, rng=sample_stream(26, 0))
     assert report.spectral_error <= 1e-10
     assert report.best_spectral == 0.0
     assert report.frobenius_error <= 1e-10
@@ -675,14 +675,14 @@ def test_lowrank_full_space_matches_best():
     u, _ = np.linalg.qr(rng.standard_normal((8, 6)))
     v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
     a_hat = (u * sigma) @ v.T
-    report = lowrank_check(a_hat, b=2, d=1, steps=3, eps=0.1, rng=RngStream(28))
+    report = lowrank_check(a_hat, b=2, d=1, steps=3, eps=0.1, rng=sample_stream(28, 0))
     assert report.spectral_error == pytest.approx(report.best_spectral, rel=1e-9)
     assert report.frobenius_error == pytest.approx(report.best_frobenius, rel=1e-9)
 
 
 def test_lowrank_diag_preset_observed_within():
     a_hat = np.vstack([np.diag(np.linspace(10.0, 1.0, 10)), np.zeros((6, 10))])
-    report = lowrank_check(a_hat, b=2, d=2, steps=5, eps=0.1, rng=RngStream(29))
+    report = lowrank_check(a_hat, b=2, d=2, steps=5, eps=0.1, rng=sample_stream(29, 0))
     assert report.spectral_within
     assert report.frobenius_within
 

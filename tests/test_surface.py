@@ -19,9 +19,9 @@ import rsbl
 import rsbl.cli
 import rsbl.lanczos
 import rsbl.robustness
-from rsbl.config import ExperimentConfig
+from rsbl.config import ExperimentConfig, sample_stream
 from rsbl.experiments import bound_verify_spec
-from rsbl.linalg import RngStream, gaussian_matrix
+from rsbl.linalg import gaussian_matrix
 
 from helpers import import_perfbench
 
@@ -47,7 +47,7 @@ def test_counted_methods_drive_the_counters(monkeypatch):
 
         monkeypatch.setattr(cls, name, counted)
     op = lanczos.LinearOperator.from_diagonal(np.linspace(-1.0, 1.0, 20))
-    omega = gaussian_matrix(20, 1, RngStream(0))
+    omega = gaussian_matrix(20, 1, sample_stream(0, 0))
     count, _ = lanczos.run_until_converged(op, omega, [1.0])
     assert calls["advance"] == calls["apply"] == count
     assert calls["ritz_values"] >= 1
@@ -66,7 +66,7 @@ def test_process_exposes_sizes_to_the_step_hook(monkeypatch):
 
     monkeypatch.setattr(lanczos._Process, "advance", hooked)
     op = lanczos.LinearOperator.from_diagonal(np.linspace(-1.0, 1.0, 20))
-    lanczos.block_lanczos(op, gaussian_matrix(20, 2, RngStream(0)), 3)
+    lanczos.block_lanczos(op, gaussian_matrix(20, 2, sample_stream(0, 0)), 3)
     assert seen == [(20, 2, 1), (20, 2, 2), (20, 2, 3)]
 
 
@@ -146,7 +146,7 @@ def test_matpoly_spans_called_through_robustness(monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(rsbl.robustness, attr, counted)
-    spec = bound_verify_spec(3, 3, RngStream(7))
+    spec = bound_verify_spec(3, 3, sample_stream(7, 0))
     report = rsbl.robustness.structural_bound_trial(spec, seed=7, grid_size=100)
     assert report.retries == 0
     assert calls == dict.fromkeys(names, 1)
