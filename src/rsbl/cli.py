@@ -12,7 +12,7 @@ output directory. The exit code is 0 when every hard assertion
 with a machine-readable summary on standard error. A bad command line or
 config (an unknown key, a bad value, an unreadable ``--config`` file, a
 config the command's runner rejects) exits 2 with one line on standard
-error, before anything is written.
+error, before anything is written; an unwritable ``--out`` exits 2 too.
 """
 from __future__ import annotations
 
@@ -107,14 +107,14 @@ def main(argv=None) -> int:
     _set_allocator_policy()
     parser = build_parser()
     args = parser.parse_args(argv)
+    out_dir = args.out or parser.get_default("out")  # --out '' keeps the default
     try:
         # a runner writes nothing, so a config it rejects leaves no file behind
         result = _COMMANDS[args.command](resolve_config(args))
+        write_outputs(out_dir, result)
     except (ValueError, OSError) as exc:
-        # one line, no usage block: the command line parsed, the config did not
+        # one line, no usage block: the command line parsed, the config or --out did not
         parser.exit(2, f"{parser.prog}: error: {exc}\n")
-    out_dir = args.out or parser.get_default("out")  # --out '' keeps the default
-    write_outputs(out_dir, result)
     if result.console:
         print(result.console)
     print(f"wrote {', '.join(result.files)} to {out_dir}")

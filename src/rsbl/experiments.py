@@ -279,6 +279,12 @@ def bound_verify_spec(b: int, d: int, trial_rng: np.random.Generator) -> Cluster
 
 def run_bound_verify(config: ExperimentConfig) -> RunResult:
     """Monte Carlo verification of the structural bound; holds rate must be 100%."""
+    for i, d in enumerate(config.d_list):
+        # n = 24 b leaves an out-of-cluster block only while d < 24
+        if d >= BOUND_VERIFY_N_PER_BLOCK:
+            raise ValueError(
+                f"d_list[{i}] must be < {BOUND_VERIFY_N_PER_BLOCK} for bound-verify, got {d}"
+            )
     result = RunResult()
     rows = []
     slack = []
@@ -359,14 +365,19 @@ def run_lowrank(config: ExperimentConfig) -> RunResult:
     """Observational low-rank approximation report on a synthetic matrix."""
     if config.nrows < config.n:
         raise ValueError(f"nrows must be >= n = {config.n} for lowrank, got {config.nrows}")
+    b, d, ell, n = config.b_list[0], config.d_list[0], config.ell, config.n
+    # the target rank and the Krylov subspace must both fit in the n columns
+    if b * d > n:
+        raise ValueError(f"b_list[0] * d_list[0] must be <= n = {n} for lowrank, got {b} * {d}")
+    if b * ell > n:
+        raise ValueError(f"b_list[0] * ell must be <= n = {n} for lowrank, got {b} * {ell}")
     result = RunResult()
     rng = sample_stream(config.seed, derive_stream_id(config.canonical_key("lowrank"), 0))
     sigma = np.linspace(10.0, 1.0, config.n)
     q_left, _ = np.linalg.qr(rng.standard_normal((config.nrows, config.n)))
     q_right, _ = np.linalg.qr(rng.standard_normal((config.n, config.n)))
     a_hat = (q_left * sigma) @ q_right.T
-    b, d = config.b_list[0], config.d_list[0]
-    report = lowrank_check(a_hat, b, d, config.ell, config.eps, rng)
+    report = lowrank_check(a_hat, b, d, ell, config.eps, rng)
     rows = [(f.name, getattr(report, f.name)) for f in fields(report)]
     result.outputs.append(("lowrank.csv", ("metric", "value"), rows))
     result.console = "\n".join(f"{k}: {format_number(v)}" for k, v in rows)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RankDeficientError, as_matrix, qr_factor
+from .linalg import SingularMatrixError, as_matrix, qr_factor
 
 # DGKS re-orthogonalization threshold: a column that the whole-basis pass
 # shrinks below ``DGKS_ETA`` of its norm has lost more than half its squared
@@ -21,7 +21,7 @@ from .linalg import RankDeficientError, as_matrix, qr_factor
 DGKS_ETA = 1.0 / np.sqrt(2.0)
 
 
-class BreakdownError(Exception):
+class BreakdownError(SingularMatrixError):
     """A new Lanczos block was rank-deficient: abort and resample the initial block."""
 
     def __init__(self, step: int):
@@ -121,7 +121,7 @@ class _Process:
         self.n, self.b = omega.shape
         try:
             q0, _ = qr_factor(omega)
-        except RankDeficientError as exc:
+        except SingularMatrixError as exc:
             raise BreakdownError(0) from exc
         self.Vt = np.empty((self.b * capacity, self.n))
         self.Vt[: self.b] = q0.T
@@ -144,7 +144,7 @@ class _Process:
         # of admitting roundoff noise as a basis block
         try:
             q, r = qr_factor(self.remainder)
-        except RankDeficientError as exc:
+        except SingularMatrixError as exc:
             raise BreakdownError(self.steps + 1) from exc
         # qr_factor's R has a nonnegative diagonal
         if r.diagonal().min() < 1e-12 * self._remainder_scale:

@@ -11,12 +11,8 @@ import math
 import numpy as np
 
 
-class RankDeficientError(Exception):
-    """A QR factor has a diagonal entry below the rank gate."""
-
-
 class SingularMatrixError(Exception):
-    """A matrix fails the singular-value gate of :func:`gated_svals`."""
+    """A degenerate matrix tripped a rank or singularity gate: resample the draw."""
 
 
 def _as_float64(a, name: str, stack: bool) -> np.ndarray:
@@ -69,7 +65,7 @@ def qr_factor(m) -> tuple[np.ndarray, np.ndarray]:
     form, with the bits of the matrix formulas, and fall back exactly where
     those do. When the Cholesky factorization fails or
     ``||R1||_F ||inv(R1)||_F`` exceeds ``CHOLESKY_QR_COND_LIMIT``, Householder
-    QR with a sign fix takes over and raises :class:`RankDeficientError` when
+    QR with a sign fix takes over and raises :class:`SingularMatrixError` when
     any diagonal entry of R falls below ``1e-12 * ||M||``; callers decide
     whether to deflate or abort.
 
@@ -126,7 +122,7 @@ def _householder_qr(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scale = float(np.linalg.svd(r, compute_uv=False)[0]) if cols else 0.0
     diag = np.abs(np.diag(r))
     if scale == 0.0 or diag.min() < 1e-12 * scale:
-        raise RankDeficientError(
+        raise SingularMatrixError(
             f"diagonal of R below 1e-12 * ||M|| (min {diag.min():.3e}, scale {scale:.3e})"
         )
     return q, r

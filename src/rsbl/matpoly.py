@@ -21,14 +21,6 @@ from .linalg import (
 )
 
 
-class ChainBreakdownError(SingularMatrixError):
-    """A chain difference product became singular (degenerate draw; resample)."""
-
-    def __init__(self, position: int):
-        self.position = position
-        super().__init__(f"chain breakdown at position {position}")
-
-
 def conjugate(omega, lam, rtol: float = 1e-14) -> np.ndarray:
     """Conjugated nodes ``inv(Omega) diag(lam) Omega`` over any leading stack axes.
 
@@ -158,11 +150,11 @@ def solvent_chain(nodes: NodeSet) -> SolventChains:
     so chain ``k`` is bit for bit the chain a per-node loop gives.
     Position d-1 absorbs nothing, so its product is ``I`` and its companion
     is the node itself, already conjugated and gated in ``nodes.bs``.
-    Raises :class:`ChainBreakdownError` at the first level, counting down,
-    where any chain's fully absorbed difference product fails the ``1e-12``
-    nonsingularity gate or its conjugation fails the ``1e-14`` one; such
-    draws are measure-zero for Gaussian eigenvector matrices and callers
-    resample.
+    Raises :class:`SingularMatrixError` ``chain breakdown at position i``
+    at the first level i, counting down, where any chain's fully absorbed
+    difference product fails the ``1e-12`` nonsingularity gate or its
+    conjugation fails the ``1e-14`` one; such draws are measure-zero for
+    Gaussian eigenvector matrices and callers resample.
     """
     d, b = nodes.d, nodes.b
     order = np.array([(k, *range(k), *range(k + 1, d)) for k in range(d)]).T
@@ -178,7 +170,7 @@ def solvent_chain(nodes: NodeSet) -> SolventChains:
             gated_svals(acc, 1e-12)
             b_hats[i] = conjugate(nodes.omegas[order[i]] @ acc, nodes.lambdas[order[i]])
         except SingularMatrixError as exc:
-            raise ChainBreakdownError(i) from exc
+            raise SingularMatrixError(f"chain breakdown at position {i}") from exc
     # the position-0 product is I (d = 1) or passed the 1e-12 gate above, so the
     # inversion needs no second one
     s_head_inv = np.linalg.solve(acc, ident)

@@ -253,8 +253,9 @@ def structural_bound_trial(
     """Sample a Gaussian initial block and evaluate the structural bound.
 
     Draws that hit a measure-zero degeneracy, any :class:`SingularMatrixError`
-    (singular partition block, chain breakdown, singular K), are resampled on
-    fresh stream ids up to ``MAX_RETRIES`` times; the retry count is recorded.
+    (singular partition block, chain breakdown, singular K, a Lanczos
+    :class:`~rsbl.lanczos.BreakdownError` on the Krylov route), are resampled
+    on fresh stream ids up to ``MAX_RETRIES`` times; the retry count is recorded.
     A trial whose every draw was degenerate raises :class:`SingularMatrixError`
     chained from the last draw's error.
     """
@@ -270,10 +271,10 @@ def structural_bound_trial(
             nodes = NodeSet(spec.lambda_blocks, blocks[: spec.d])
             chains = solvent_chain(nodes)
             tan_van, k_mat = tan_angle_vandermonde(spec, blocks, nodes)
+            tan_kry = tan_angle_krylov(spec, omega, spec.d)
         except SingularMatrixError as exc:
             last_exc = exc
             continue
-        tan_kry = tan_angle_krylov(spec, omega, spec.d)
         if spec.d >= 2:
             chi_mono, chi_coef = chi_quantities(
                 nodes, chains, (spec.cluster_min, spec.cluster_max)

@@ -187,6 +187,14 @@ def test_cli_config_errors_exit_2_before_writing(tmp_path, monkeypatch, capsys, 
          "cluster_dim must be divisible by d = 2, 3, 4, 5, got 7"),
         ("cluster-robustness", "n = 50\n", "n must be >= cluster_dim = 60, got 50"),
         ("lowrank", "nrows = 5\n", "nrows must be >= n = 20 for lowrank, got 5"),
+        ("lowrank", "b_list = 5\nd_list = 5\n",
+         "b_list[0] * d_list[0] must be <= n = 20 for lowrank, got 5 * 5"),
+        ("lowrank", "ell = 11\n", "b_list[0] * ell must be <= n = 20 for lowrank, got 2 * 11"),
+        ("bound-verify", "b_list = 1\nd_list = 24\n",
+         "d_list[0] must be < 24 for bound-verify, got 24"),
+        # rejected before the d = 2 trials run
+        ("bound-verify", "b_list = 1\nd_list = 2, 30\n",
+         "d_list[1] must be < 24 for bound-verify, got 30"),
     ],
 )
 def test_cli_runner_config_errors_exit_2_before_writing(tmp_path, monkeypatch, capsys, command,
@@ -212,6 +220,15 @@ def test_cli_rejects_a_list_the_command_reads_one_entry_of(tmp_path, monkeypatch
     key = text.split(" = ")[0]
     assert err == f"rsbl: error: {key} must have one entry for {command}, got '2, 3'\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_out_that_cannot_be_created_exits_2(tmp_path, monkeypatch, capsys):
+    # exit 1 reports a failed hard check, so an unusable --out must not end there
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "afile").write_text("kept\n")
+    err = config_error(["probe", "--trials", "10", "--out", "afile"], capsys)
+    assert "File exists" in err and "'afile'" in err
+    assert (tmp_path / "afile").read_text() == "kept\n"
 
 
 def test_cli_lowrank_rejects_a_trial_count_it_does_not_read(tmp_path, monkeypatch, capsys):

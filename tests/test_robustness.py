@@ -17,9 +17,9 @@ from helpers import (
 )
 from rsbl.config import sample_stream
 from rsbl.experiments import bound_verify_spec
-from rsbl.lanczos import block_lanczos
+from rsbl.lanczos import BreakdownError, block_lanczos
 from rsbl.linalg import SingularMatrixError, gaussian_matrix
-from rsbl.matpoly import ChainBreakdownError, NodeSet, solvent_chain
+from rsbl.matpoly import NodeSet, solvent_chain
 from rsbl.robustness import (
     ClusterSpec,
     ExperimentFamily,
@@ -519,7 +519,7 @@ def test_structural_bound_trial_resamples_chain_breakdown(monkeypatch):
     report = structural_bound_trial(spec, seed=5, grid_size=200)
     nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(draws[0])[:2]))
     c_omega(spec, draws[0])
-    with pytest.raises(ChainBreakdownError, match="^chain breakdown at position 0$"):
+    with pytest.raises(SingularMatrixError, match="^chain breakdown at position 0$"):
         solvent_chain(nodes)
     assert len(draws) == 2 and expected.retries == 0
     assert report == dataclasses.replace(expected, retries=1)
@@ -558,6 +558,28 @@ def test_structural_bound_trial_resample_is_the_next_stream(monkeypatch):
     monkeypatch.setattr(rsbl.robustness, "gaussian_matrix", first_draw_zero)
     report = structural_bound_trial(spec, seed=5)
     assert streams == [0, 1]
+    assert report.retries == 1 and expected.retries == 0
+    assert report == dataclasses.replace(expected, retries=1)
+
+
+def test_structural_bound_trial_redraws_a_krylov_breakdown(monkeypatch):
+    # a Lanczos breakdown on the Krylov route is a degenerate draw like a singular K
+    import rsbl.robustness
+
+    spec = bound_verify_spec(2, 3, sample_stream(43, 0))
+    expected = structural_bound_trial(spec, seed=5, base_stream=1)
+    krylov = rsbl.robustness.tan_angle_krylov
+    calls = []
+
+    def first_call_breaks_down(spec, omega, steps):
+        calls.append(steps)
+        if len(calls) == 1:
+            raise BreakdownError(steps)
+        return krylov(spec, omega, steps)
+
+    monkeypatch.setattr(rsbl.robustness, "tan_angle_krylov", first_call_breaks_down)
+    report = structural_bound_trial(spec, seed=5)
+    assert calls == [3, 3]
     assert report.retries == 1 and expected.retries == 0
     assert report == dataclasses.replace(expected, retries=1)
 

@@ -76,19 +76,13 @@ def test_breakdown_error_exported():
 
 def test_exported_exceptions_are_one_per_failure_kind():
     # bound-verify resamples a degenerate draw on SingularMatrixError alone,
-    # so a chain breakdown must be one
+    # so a Lanczos breakdown on the Krylov route must be one
     exported = {
         name for name, value in vars(rsbl).items()
         if isinstance(value, type) and issubclass(value, Exception)
     }
-    assert exported == {
-        "BreakdownError",
-        "ChainBreakdownError",
-        "NoConvergenceError",
-        "RankDeficientError",
-        "SingularMatrixError",
-    }
-    assert issubclass(rsbl.ChainBreakdownError, rsbl.SingularMatrixError)
+    assert exported == {"BreakdownError", "NoConvergenceError", "SingularMatrixError"}
+    assert issubclass(rsbl.BreakdownError, rsbl.SingularMatrixError)
 
 
 def test_readme_config_table_lists_every_key():
