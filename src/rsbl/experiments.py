@@ -1,10 +1,11 @@
 """Experiment drivers: seeded runs, CSV emission, and summary statistics.
 
-Every runner is deterministic given its configuration: per-trial sample
-streams are derived from the canonical configuration key, and rows come in
-a fixed order. Runners return their files as data and never touch the file
-system; :func:`write_outputs` writes them, floats as shortest round-trip
-decimals, so reruns produce byte-identical files.
+Every runner is deterministic given its configuration: it derives each
+trial's sample streams from a configuration key, runs the trial loops and
+sets the redraw budgets, and hands the library only numpy Generators. Rows
+come in a fixed order. Runners return their files as data and never touch
+the file system; :func:`write_outputs` writes them, floats as shortest
+round-trip decimals, so reruns produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -14,16 +15,15 @@ from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
+from . import robustness
 from .config import ExperimentConfig, derive_stream_id, sample_stream
 from .lanczos import BreakdownError, LinearOperator, NoConvergenceError, run_until_converged
-from .linalg import gaussian_matrix
+from .linalg import SingularMatrixError, gaussian_matrix, smallest_singular
+from .matpoly import conjugate
 from .robustness import (
     ClusterSpec,
     ExperimentFamily,
-    conjecture_experiment,
     lowrank_check,
-    probe_solvent_difference,
-    quantile,
     sandwich_d2,
     structural_bound_trial,
 )
@@ -45,6 +45,16 @@ def write_csv(path: str, header, rows):
         fh.write(",".join(header) + "\n")
         for row in rows:
             fh.write(",".join(format_number(v) for v in row) + "\n")
+
+
+def quantile(sorted_samples: np.ndarray, q: float) -> float:
+    """Linear-interpolation quantile that stays total when samples hit inf."""
+    pos = q * (sorted_samples.size - 1)
+    lo, hi = int(math.floor(pos)), int(math.ceil(pos))
+    if sorted_samples[lo] == sorted_samples[hi]:
+        return float(sorted_samples[lo])
+    frac = pos - lo
+    return float((1.0 - frac) * sorted_samples[lo] + frac * sorted_samples[hi])
 
 
 def fit_loglog(xs, ys) -> tuple[float, float, float]:
@@ -215,10 +225,27 @@ for path in sys.argv[1:]:
 """
 
 
+def _sweep_row(config: ExperimentConfig, family: ExperimentFamily, d: int, value: float) -> tuple:
+    """One ``cluster_*.csv`` row: tangent quartiles over streams keyed by the sweep point."""
+    spec = family.spec_for(d, value)
+    key = (
+        f"cluster-robustness|{family.variant}|{family.sweep}"
+        f"|n={family.n}|bd={family.cluster_dim}|d={d}|v={value!r}"
+    )
+    samples = np.empty(config.trials)
+    for t in range(config.trials):
+        rng = sample_stream(config.seed, derive_stream_id(key, t))
+        omega = gaussian_matrix(spec.n, spec.b, rng)
+        # through the module attribute, at which the benchmark times one trial
+        samples[t] = robustness.tan_angle_krylov(spec, omega, d)
+    samples.sort()
+    quartiles = (quantile(samples, q) for q in (0.5, 0.25, 0.75))
+    return (d, value, spec.relgap, *quartiles, config.trials)
+
+
 def run_cluster_robustness(config: ExperimentConfig) -> RunResult:
     """Quantile sweeps of the measured angle over both sweep designs."""
     result = RunResult()
-    trials = config.trials
     variants = ("exterior", "interior") if config.variant == "both" else (config.variant,)
     # built before any trial, so a config no family accepts runs none
     families = [
@@ -229,17 +256,19 @@ def run_cluster_robustness(config: ExperimentConfig) -> RunResult:
     slope_rows = []
     for family in families:
         variant, sweep = family.variant, family.sweep
-        summaries = conjecture_experiment(family, trials, config.seed)
+        rows = []
+        for d in family.d_values:
+            pts = [_sweep_row(config, family, d, value) for value in family.sweep_values]
+            # columns 1-3 are the sweep value, relgap and median; alpha is fit against relgap
+            xs = [row[1] if sweep == "beta" else row[2] for row in pts]
+            slope, intercept, r2 = fit_loglog(xs, [row[3] for row in pts])
+            slope_rows.append((variant, sweep, d, slope, intercept, r2))
+            rows += pts
         result.outputs.append((
             f"cluster_{variant}_{sweep}.csv",
             ("d", "abscissa", "relgap", "median", "q25", "q75", "trials"),
-            [astuple(s) for s in summaries],
+            rows,
         ))
-        for d in family.d_values:
-            pts = [s for s in summaries if s.d == d]
-            xs = [s.sweep_value if sweep == "beta" else s.relgap for s in pts]
-            slope, intercept, r2 = fit_loglog(xs, [s.median for s in pts])
-            slope_rows.append((variant, sweep, d, slope, intercept, r2))
     result.outputs += [
         ("cluster_slopes.csv", ("variant", "sweep", "d", "slope", "intercept", "r2"), slope_rows),
         ("plot_cluster_robustness.py", _PLOT_SCRIPT),
@@ -252,6 +281,8 @@ def run_cluster_robustness(config: ExperimentConfig) -> RunResult:
 
 # Operator dimension per unit of block size in a bound-verify trial.
 BOUND_VERIFY_N_PER_BLOCK = 24
+# Redraws of a degenerate Omega before a bound-verify trial gives up.
+MAX_RETRIES = 8
 
 
 def bound_verify_spec(b: int, d: int, trial_rng: np.random.Generator) -> ClusterSpec:
@@ -289,17 +320,22 @@ def run_bound_verify(config: ExperimentConfig) -> RunResult:
     rows = []
     slack = []
     for b in config.b_list:
-        for d in config.d_list:
+        for i, d in enumerate(config.d_list):
             key = config.canonical_key("bound-verify", f"b={b}", f"d={d}")
             for trial in range(config.trials):
                 spec_rng = sample_stream(config.seed, derive_stream_id(key, trial))
                 spec = bound_verify_spec(b, d, spec_rng)
-                report = structural_bound_trial(
-                    spec,
-                    config.seed,
-                    base_stream=derive_stream_id(key + "|omega", trial),
-                    grid_size=config.grid_size,
-                )
+                # a degenerate Omega is redrawn from the stream ids that follow the first
+                first = derive_stream_id(key + "|omega", trial)
+                draws = (sample_stream(config.seed, first + k) for k in range(MAX_RETRIES + 1))
+                try:
+                    report = structural_bound_trial(spec, draws, config.grid_size)
+                except SingularMatrixError as exc:
+                    # at a deep d the Krylov block K is singular to working precision
+                    raise ValueError(
+                        f"d_list[{i}] = {d} at b = {b} leaves every draw of trial {trial} "
+                        f"degenerate: {exc}"
+                    ) from exc
                 if report.tan_angle_vandermonde > 0:
                     slack.append(report.bound / report.tan_angle_vandermonde)
                 rows.append((b, d, trial, *astuple(report)))
@@ -326,14 +362,24 @@ def run_bound_verify(config: ExperimentConfig) -> RunResult:
 
 
 def run_probe(config: ExperimentConfig) -> RunResult:
-    """Distribution probe of the smallest singular value of a solvent difference."""
+    """Quantiles of the smallest singular value of a random solvent difference (report only).
+
+    The solvents have the spectra ``1..b`` and ``b+2..2b+1`` and fresh
+    Gaussian eigenvector matrices in every trial.
+    """
     result = RunResult()
-    lam_i = np.arange(1.0, 1.0 + config.b_list[0])
-    lam_j = np.arange(1.0, 1.0 + config.b_list[0]) + config.b_list[0] + 1.0
-    quantiles = probe_solvent_difference(
-        lam_i, lam_j, config.trials, config.seed, config.canonical_key("probe")
-    )
-    rows = sorted(quantiles.items())
+    b = config.b_list[0]
+    lam_i = np.arange(1.0, 1.0 + b)
+    lam_j = lam_i + b + 1.0
+    key = config.canonical_key("probe")
+    om_i = np.empty((config.trials, b, b))
+    om_j = np.empty((config.trials, b, b))
+    for t in range(config.trials):
+        rng = sample_stream(config.seed, derive_stream_id(key, t))
+        om_i[t] = gaussian_matrix(b, b, rng)
+        om_j[t] = gaussian_matrix(b, b, rng)
+    samples = np.sort(smallest_singular(conjugate(om_i, lam_i) - conjugate(om_j, lam_j)))
+    rows = [(q, quantile(samples, q)) for q in (0.01, 0.25, 0.5, 0.75, 0.99)]
     result.outputs.append(("probe_quantiles.csv", ("quantile", "value"), rows))
     result.console = "\n".join(f"q{q}: {v}" for q, v in rows)
     return result
@@ -371,6 +417,9 @@ def run_lowrank(config: ExperimentConfig) -> RunResult:
         raise ValueError(f"b_list[0] * d_list[0] must be <= n = {n} for lowrank, got {b} * {d}")
     if b * ell > n:
         raise ValueError(f"b_list[0] * ell must be <= n = {n} for lowrank, got {b} * {ell}")
+    # the b * d Ritz vectors come from the b * ell columns of the basis
+    if d > ell:
+        raise ValueError(f"d_list[0] must be <= ell = {ell} for lowrank, got {d}")
     result = RunResult()
     rng = sample_stream(config.seed, derive_stream_id(config.canonical_key("lowrank"), 0))
     sigma = np.linspace(10.0, 1.0, config.n)

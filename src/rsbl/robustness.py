@@ -4,9 +4,10 @@ The central object is the tangent of the largest principal angle between
 the invariant subspace of a targeted eigenvalue cluster and the block
 Krylov subspace built from a Gaussian initial block. The angle is computed
 by two independent routes (a Lanczos basis split and an explicit block
-Vandermonde factorization), compared against the structural bound
-``c_Omega * G_d``, and swept over synthetic spectra in Monte Carlo
-experiments.
+Vandermonde factorization) and compared against the structural bound
+``c_Omega * G_d``. Every function here computes from the arrays and the
+numpy Generators it is given; :mod:`rsbl.experiments` derives the sample
+streams, runs the trial loops and sets the redraw budgets.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import derive_stream_id, sample_stream
 from .lanczos import LinearOperator, block_lanczos, krylov_basis, rayleigh_ritz
 from .linalg import (
     SingularMatrixError,
@@ -32,7 +32,6 @@ from .matpoly import (
     SolventChains,
     block_vandermonde,
     chi_quantities,
-    conjugate,
     fundamental_via_chain,
     min_separation,
     solvent_chain,
@@ -240,30 +239,22 @@ class RobustnessReport:
     retries: int
 
 
-# Resamples of a degenerate draw before a structural-bound trial gives up.
-MAX_RETRIES = 8
+def structural_bound_trial(spec: ClusterSpec, draws, grid_size: int = 1000) -> RobustnessReport:
+    """Evaluate the structural bound on the first non-degenerate Gaussian initial block.
 
-
-def structural_bound_trial(
-    spec: ClusterSpec,
-    seed: int,
-    base_stream: int = 0,
-    grid_size: int = 1000,
-) -> RobustnessReport:
-    """Sample a Gaussian initial block and evaluate the structural bound.
-
-    Draws that hit a measure-zero degeneracy, any :class:`SingularMatrixError`
-    (singular partition block, chain breakdown, singular K, a Lanczos
-    :class:`~rsbl.lanczos.BreakdownError` on the Krylov route), are resampled
-    on fresh stream ids up to ``MAX_RETRIES`` times; the retry count is recorded.
-    A trial whose every draw was degenerate raises :class:`SingularMatrixError`
+    ``draws`` yields numpy Generators, each of which draws one Omega, and is
+    consumed only as far as needed. A draw that hits a measure-zero
+    degeneracy, any :class:`SingularMatrixError` (singular partition block,
+    chain breakdown, singular K, a Lanczos
+    :class:`~rsbl.lanczos.BreakdownError` on the Krylov route), is replaced
+    by the next Generator's; ``retries`` counts the replaced draws. A trial
+    whose every draw was degenerate raises :class:`SingularMatrixError`
     chained from the last draw's error.
     """
     if spec.d >= 2 and not spec.relgap > 0.0:
         raise ValueError("structural bound requires a positive relgap")
     last_exc: Exception | None = None
-    for attempt in range(MAX_RETRIES + 1):
-        rng = sample_stream(seed, base_stream + attempt)
+    for attempt, rng in enumerate(draws):
         omega = gaussian_matrix(spec.n, spec.b, rng)
         try:
             blocks = spec.omega_blocks(omega)
@@ -295,8 +286,10 @@ def structural_bound_trial(
             cond_k=float(np.linalg.cond(k_mat, 1)),
             retries=attempt,
         )
+    if last_exc is None:
+        raise ValueError("draws must yield at least one Generator")
     raise SingularMatrixError(
-        f"persistent degeneracy after {MAX_RETRIES} retries: {last_exc}"
+        f"persistent degeneracy after {attempt} retries: {last_exc}"
     ) from last_exc
 
 
@@ -372,74 +365,6 @@ class ExperimentFamily:
         )
 
 
-@dataclass(frozen=True)
-class QuantileSummary:
-    """Median and quartiles of the measured angle for one sweep configuration.
-
-    The fields are the columns of a ``cluster_*.csv`` row, in order.
-    """
-
-    d: int
-    sweep_value: float
-    relgap: float
-    median: float
-    q25: float
-    q75: float
-    trials: int
-
-
-def quantile(sorted_samples: np.ndarray, q: float) -> float:
-    """Linear-interpolation quantile that stays total when samples hit inf."""
-    pos = q * (sorted_samples.size - 1)
-    lo, hi = int(math.floor(pos)), int(math.ceil(pos))
-    if sorted_samples[lo] == sorted_samples[hi]:
-        return float(sorted_samples[lo])
-    frac = pos - lo
-    return float((1.0 - frac) * sorted_samples[lo] + frac * sorted_samples[hi])
-
-
-def conjecture_experiment(
-    family: ExperimentFamily,
-    trials: int,
-    master_seed: int,
-) -> list:
-    """Monte Carlo sweep of the measured tangent over one experiment family.
-
-    Per configuration the tangent is sampled over independent Gaussian
-    initial blocks; the trial streams are derived from the configuration
-    key, so results are deterministic given the master seed and
-    independent of scheduling.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    summaries = []
-    for d in family.d_values:
-        for value in family.sweep_values:
-            spec = family.spec_for(d, value)
-            key = (
-                f"cluster-robustness|{family.variant}|{family.sweep}"
-                f"|n={family.n}|bd={family.cluster_dim}|d={d}|v={value!r}"
-            )
-            samples = np.empty(trials)
-            for t in range(trials):
-                rng = sample_stream(master_seed, derive_stream_id(key, t))
-                omega = gaussian_matrix(spec.n, spec.b, rng)
-                samples[t] = tan_angle_krylov(spec, omega, d)
-            samples.sort()
-            summaries.append(
-                QuantileSummary(
-                    d=d,
-                    sweep_value=value,
-                    relgap=spec.relgap,
-                    median=quantile(samples, 0.5),
-                    q25=quantile(samples, 0.25),
-                    q75=quantile(samples, 0.75),
-                    trials=trials,
-                )
-            )
-    return summaries
-
-
 def sandwich_d2(b1, b2) -> tuple[float, float, float, bool]:
     """Two-sided bound linking ``||inv(B1 - B2)||`` to the stacked 2x2 block matrix.
 
@@ -461,43 +386,6 @@ def sandwich_d2(b1, b2) -> tuple[float, float, float, bool]:
     upper = (3.0 + math.sqrt(5.0)) / 2.0 * (1.0 + (spectral_norm(b1) ** 2 + 1.0) * inv_sq)
     holds = lower <= middle * (1.0 + 1e-8) and middle <= upper * (1.0 + 1e-8)
     return lower, middle, upper, holds
-
-
-PROBE_QUANTILES = (0.01, 0.25, 0.5, 0.75, 0.99)
-
-
-def probe_solvent_difference(
-    lam_i,
-    lam_j,
-    trials: int,
-    master_seed: int,
-    key: str,
-) -> dict:
-    """Empirical ``PROBE_QUANTILES`` of the smallest singular value of ``B_i - B_j``.
-
-    Both solvents share deterministic diagonal spectra but carry fresh
-    independent Gaussian eigenvector matrices per trial, drawn from the
-    stream ``derive_stream_id(key, t)`` of trial ``t``. Purely an
-    observational probe of the non-commuting difficulty; nothing is
-    asserted about the distribution.
-    """
-    lam_i = np.asarray(lam_i, dtype=np.float64).reshape(-1)
-    lam_j = np.asarray(lam_j, dtype=np.float64).reshape(-1)
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if lam_i.size != lam_j.size:
-        raise ValueError("spectra must have equal size")
-    if min_separation((lam_i, lam_j)) == 0.0:
-        raise ValueError("spectra must be disjoint")
-    b = lam_i.size
-    om_i = np.empty((trials, b, b))
-    om_j = np.empty((trials, b, b))
-    for t in range(trials):
-        rng = sample_stream(master_seed, derive_stream_id(key, t))
-        om_i[t] = gaussian_matrix(b, b, rng)
-        om_j[t] = gaussian_matrix(b, b, rng)
-    samples = np.sort(smallest_singular(conjugate(om_i, lam_i) - conjugate(om_j, lam_j)))
-    return {float(q): quantile(samples, q) for q in PROBE_QUANTILES}
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ returns), the one-node-at-a-time chain recurrence, the growth-inequality
 check and the Chebyshev depth reference live here as the oracles that
 check it. So do the test-only helpers the
 package itself never calls (the dense operator, the operator symmetry
-spot-check and the stream-id recorder).
+spot-check, the stream-id recorder and the draws of a structural-bound trial).
 """
 import importlib
 import math
@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from rsbl.config import sample_stream
+from rsbl.experiments import MAX_RETRIES
 from rsbl.lanczos import LinearOperator, NoConvergenceError, _Process, krylov_basis, match_targets
 from rsbl.linalg import SingularMatrixError, as_matrix, solve_linear, spectral_norm
 from rsbl.matpoly import (
@@ -54,14 +55,23 @@ def symmetry_defect(op, rng, probes: int = 3) -> float:
 
 def record_stream_ids(monkeypatch, module) -> list:
     """Patch ``module.sample_stream`` to log each stream id it opens; return the log."""
-    opened = []
+    opened, original = [], module.sample_stream
 
     def recording(seed, stream_id):
         opened.append(stream_id)
-        return sample_stream(seed, stream_id)
+        return original(seed, stream_id)
 
     monkeypatch.setattr(module, "sample_stream", recording)
     return opened
+
+
+def stream_draws(seed: int, base: int = 0):
+    """A structural-bound trial's draws: ``sample_stream(seed, base + i)``, i <= MAX_RETRIES.
+
+    Each stream opens only when the trial takes it, so ``record_stream_ids``
+    on this module logs exactly the draws a trial used.
+    """
+    return (sample_stream(seed, base + i) for i in range(MAX_RETRIES + 1))
 
 
 def dense_operator(a) -> LinearOperator:

@@ -190,6 +190,7 @@ def test_cli_config_errors_exit_2_before_writing(tmp_path, monkeypatch, capsys, 
         ("lowrank", "b_list = 5\nd_list = 5\n",
          "b_list[0] * d_list[0] must be <= n = 20 for lowrank, got 5 * 5"),
         ("lowrank", "ell = 11\n", "b_list[0] * ell must be <= n = 20 for lowrank, got 2 * 11"),
+        ("lowrank", "d_list = 7\n", "d_list[0] must be <= ell = 6 for lowrank, got 7"),
         ("bound-verify", "b_list = 1\nd_list = 24\n",
          "d_list[0] must be < 24 for bound-verify, got 24"),
         # rejected before the d = 2 trials run
@@ -410,6 +411,36 @@ def test_bound_verify_records_a_trial_whose_bound_fails(monkeypatch):
     assert result.console == "structural bound held in 2/3 trials (rate 0.6667)"
 
 
+def test_bound_verify_redraws_from_the_following_ids_then_names_the_trial(monkeypatch):
+    # an all-zero Omega trips c_omega's gate on every draw: the trial opens
+    # MAX_RETRIES + 1 omega streams from its first id on, then the runner
+    # names the d_list entry, b and trial in a ValueError
+    config = ExperimentConfig(b_list=(1, 2), d_list=(2, 3), trials=1, grid_size=50)
+    key = config.canonical_key("bound-verify", "b=1", "d=2")
+    first = derive_stream_id(key + "|omega", 0)
+    opened = record_stream_ids(monkeypatch, rsbl.experiments)
+    monkeypatch.setattr(rsbl.robustness, "gaussian_matrix", lambda n, b, rng: np.zeros((n, b)))
+    with pytest.raises(ValueError, match=(
+        r"^d_list\[0\] = 2 at b = 1 leaves every draw of trial 0 degenerate: "
+        r"persistent degeneracy after 8 retries: .*1e-14"
+    )):
+        run_bound_verify(config)
+    assert opened == [derive_stream_id(key, 0)] + [first + k for k in range(9)]
+
+
+def test_cli_bound_verify_at_a_deep_d_exits_2_before_writing(tmp_path, monkeypatch, capsys):
+    # at d = 12, b = 2 the Krylov block K of every draw is singular to working
+    # precision: a config error, not a failed check, and not a traceback
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "deep.cfg").write_text("b_list = 2\nd_list = 3, 12\ntrials = 1\ngrid_size = 50\n")
+    err = config_error(["bound-verify", "--config", "deep.cfg", "--out", "out"], capsys)
+    assert err.startswith(
+        "rsbl: error: d_list[1] = 12 at b = 2 leaves every draw of trial 0 degenerate: "
+        "persistent degeneracy after 8 retries: smallest singular value "
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_sandwich_records_a_trial_whose_bound_fails(monkeypatch):
     real = rsbl.experiments.sandwich_d2
     calls = []
@@ -496,7 +527,7 @@ def test_cli_probe_quantiles(tmp_path):
 
 def test_probe_streams_keyed_by_config(monkeypatch):
     # probes with the same seed but different block sizes must not share draws
-    drawn = record_stream_ids(monkeypatch, rsbl.robustness)
+    drawn = record_stream_ids(monkeypatch, rsbl.experiments)
     streams = {}
     for b in (2, 3):
         drawn.clear()

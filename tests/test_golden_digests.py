@@ -11,12 +11,18 @@ skips, naming both keys and the moved files.
 
 A change that moves digits regenerates the file in the same commit, with
 the command on its first line, and says which files moved and why.
+
+Run as a script, ``--write`` regenerates the file and ``--print`` prints the
+digests of the current checkout in the file's ``digest  name`` format and
+writes nothing, so two checkouts can be compared on any host, one whose key
+makes the test skip included.
 """
 import contextlib
 import hashlib
 import io
 import platform
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +32,8 @@ import rsbl.cli
 from helpers import import_perfbench
 
 GOLDEN = Path(__file__).with_name("golden_digests.txt")
-REGENERATE = "PYTHONPATH=src python tests/test_golden_digests.py --write"
+SCRIPT = "PYTHONPATH=src python tests/test_golden_digests.py"
+REGENERATE = f"{SCRIPT} --write"
 
 # the commands the benchmark does not pin, at small trial counts
 SMALL_RUNS = {
@@ -95,10 +102,13 @@ def read_golden() -> tuple[str, dict]:
     return key, digests
 
 
+def digest_lines(digests: dict) -> list:
+    return [f"{digest}  {name}" for name, digest in sorted(digests.items())]
+
+
 def write_golden(digests: dict) -> None:
     lines = [f"# regenerate: {REGENERATE}", f"# environment: {environment_key()}"]
-    lines += [f"{digest}  {name}" for name, digest in sorted(digests.items())]
-    GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    GOLDEN.write_text("\n".join(lines + digest_lines(digests)) + "\n", encoding="utf-8")
 
 
 def test_output_digests_match_golden(tmp_path):
@@ -149,11 +159,33 @@ def test_key_differing_only_in_cpu_flags(tmp_path, monkeypatch, flags_differ, mo
             test_output_digests_match_golden(tmp_path)
 
 
-if __name__ == "__main__":
-    import tempfile
-
-    if sys.argv[1:] != ["--write"]:
-        sys.exit(f"usage: {REGENERATE}")
+def main(argv) -> None:
+    if argv not in (["--write"], ["--print"]):
+        sys.exit(f"usage: {SCRIPT} --write | --print")
     with tempfile.TemporaryDirectory() as work:
-        write_golden(output_digests(Path(work)))
-    print(f"wrote {GOLDEN}")
+        digests = output_digests(Path(work))
+    if argv == ["--print"]:
+        print("\n".join(digest_lines(digests)))
+    else:
+        write_golden(digests)
+        print(f"wrote {GOLDEN}")
+
+
+def test_print_mode_prints_the_golden_format_and_writes_nothing(monkeypatch, capsys):
+    _, golden = read_golden()
+    monkeypatch.setattr(sys.modules[__name__], "output_digests", lambda work: golden)
+    before = GOLDEN.read_bytes()
+    main(["--print"])
+    lines = GOLDEN.read_text(encoding="utf-8").splitlines()
+    assert capsys.readouterr().out.splitlines() == [line for line in lines if line[:1] != "#"]
+    assert GOLDEN.read_bytes() == before
+
+
+@pytest.mark.parametrize("argv", [[], ["--check"], ["--print", "--write"]])
+def test_script_usage_names_both_modes(argv):
+    with pytest.raises(SystemExit, match=r"^usage: .* --write \| --print$"):
+        main(argv)
+
+
+if __name__ == "__main__":
+    main(sys.argv[1:])

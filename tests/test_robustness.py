@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import (
     ZeroGapError,
     chebyshev_accel_check,
@@ -14,22 +15,21 @@ from helpers import (
     fundamental_norms_loop,
     lagrange_scalar,
     record_stream_ids,
+    stream_draws,
 )
-from rsbl.config import sample_stream
-from rsbl.experiments import bound_verify_spec
+from rsbl.config import ExperimentConfig, sample_stream
+from rsbl.experiments import bound_verify_spec, run_cluster_robustness, run_probe
 from rsbl.lanczos import BreakdownError, block_lanczos
-from rsbl.linalg import SingularMatrixError, gaussian_matrix
-from rsbl.matpoly import NodeSet, solvent_chain
+from rsbl.linalg import SingularMatrixError, gaussian_matrix, smallest_singular
+from rsbl.matpoly import NodeSet, conjugate, solvent_chain
 from rsbl.robustness import (
     ClusterSpec,
     ExperimentFamily,
     _tangent_from_basis,
     c_omega,
-    conjecture_experiment,
     growth_Gd,
     lowrank_check,
     outside_grid,
-    probe_solvent_difference,
     sandwich_d2,
     structural_bound_trial,
     tan_angle_krylov,
@@ -92,12 +92,12 @@ INPUT_CHECKS = {
     ),
     # a zero gap is a valid spectrum, but the bound at d >= 2 needs a positive one
     "bound-zero-relgap": (
-        lambda: structural_bound_trial(_tiny_spec(blocks=((1.0,), (1.0,))), seed=0),
+        lambda: structural_bound_trial(_tiny_spec(blocks=((1.0,), (1.0,))), stream_draws(0)),
         "structural bound requires a positive relgap",
     ),
-    "probe-no-trials": (
-        lambda: probe_solvent_difference([1.0], [4.5], 0, master_seed=1, key="probe"),
-        "trials must be >= 1",
+    "bound-no-draws": (
+        lambda: structural_bound_trial(_tiny_spec(), iter(())),
+        "draws must yield at least one Generator",
     ),
 }
 
@@ -447,7 +447,7 @@ def test_structural_bound_trials_hold():
         b = int(rng.integers(1, 4))
         d = int(rng.integers(2, 4))
         spec = make_spec(rng, b, d, m=12)
-        report = structural_bound_trial(spec, seed=trial, grid_size=400)
+        report = structural_bound_trial(spec, stream_draws(trial), 400)
         assert report.bound_holds
         assert report.tan_angle_vandermonde <= report.bound * (1.0 + 1e-8)
         if b == 1:
@@ -461,7 +461,7 @@ def test_structural_bound_trials_hold():
 def test_structural_bound_trial_at_d1_has_unit_chi():
     # one node has no chain to grow: both chi factors are 1 by definition
     spec = make_spec(np.random.default_rng(24), 2, 1, m=8)
-    report = structural_bound_trial(spec, seed=25, grid_size=200)
+    report = structural_bound_trial(spec, stream_draws(25), 200)
     assert (report.chi_mono, report.chi_coef) == (1.0, 1.0)
     assert report.bound_holds and report.bound == report.c_omega * report.g_d
 
@@ -492,7 +492,7 @@ def test_structural_bound_trial_resamples_singular_trailing_block(monkeypatch, t
         return omega
 
     monkeypatch.setattr(rsbl.robustness, "gaussian_matrix", first_draw_singular_tail)
-    report = structural_bound_trial(spec, seed=27, grid_size=200)
+    report = structural_bound_trial(spec, stream_draws(27), 200)
     assert report.retries == 1
     assert len(draws) == 2
     assert report.bound_holds
@@ -505,7 +505,7 @@ def test_structural_bound_trial_resamples_chain_breakdown(monkeypatch):
     # blocks: NodeSet and c_omega accept it, the stacked chain pass breaks down at level 0
     spec = ClusterSpec(8, 2, 2, ([0.0, 1.0], [2.0, 3.0]), [-4.0, -3.0, -2.0, -1.0], 0.0, 3.0)
     lead = np.array([[1.0, 0.0], [0.0, 1.0], [-3.0, 2.0], [2.0, -1.0]])
-    expected = structural_bound_trial(spec, seed=5, base_stream=1, grid_size=200)
+    expected = structural_bound_trial(spec, stream_draws(5, 1), 200)
     draws = []
 
     def first_draw_breaks_chain(rows, cols, rng):
@@ -516,7 +516,7 @@ def test_structural_bound_trial_resamples_chain_breakdown(monkeypatch):
         return omega
 
     monkeypatch.setattr(rsbl.robustness, "gaussian_matrix", first_draw_breaks_chain)
-    report = structural_bound_trial(spec, seed=5, grid_size=200)
+    report = structural_bound_trial(spec, stream_draws(5), 200)
     nodes = NodeSet(spec.lambda_blocks, tuple(spec.omega_blocks(draws[0])[:2]))
     c_omega(spec, draws[0])
     with pytest.raises(SingularMatrixError, match="^chain breakdown at position 0$"):
@@ -529,7 +529,7 @@ def test_structural_bound_trial_gives_up_on_persistent_degeneracy(monkeypatch):
     import rsbl.robustness
 
     spec = bound_verify_spec(2, 3, sample_stream(41, 0))
-    streams = record_stream_ids(monkeypatch, rsbl.robustness)
+    streams = record_stream_ids(monkeypatch, helpers)
 
     def zero_draw(rows, cols, rng):
         return np.zeros((rows, cols))
@@ -539,7 +539,7 @@ def test_structural_bound_trial_gives_up_on_persistent_degeneracy(monkeypatch):
     with pytest.raises(
         SingularMatrixError, match=r"^persistent degeneracy after 8 retries: .*1e-14"
     ) as info:
-        structural_bound_trial(spec, seed=5, base_stream=3)
+        structural_bound_trial(spec, stream_draws(5, 3))
     assert isinstance(info.value.__cause__, SingularMatrixError)
     assert streams == list(range(3, 12))
 
@@ -548,15 +548,15 @@ def test_structural_bound_trial_resample_is_the_next_stream(monkeypatch):
     import rsbl.robustness
 
     spec = bound_verify_spec(2, 3, sample_stream(42, 0))
-    expected = structural_bound_trial(spec, seed=5, base_stream=1)
-    streams = record_stream_ids(monkeypatch, rsbl.robustness)
+    expected = structural_bound_trial(spec, stream_draws(5, 1))
+    streams = record_stream_ids(monkeypatch, helpers)
 
     def first_draw_zero(rows, cols, rng):
         omega = gaussian_matrix(rows, cols, rng)
         return np.zeros_like(omega) if len(streams) == 1 else omega
 
     monkeypatch.setattr(rsbl.robustness, "gaussian_matrix", first_draw_zero)
-    report = structural_bound_trial(spec, seed=5)
+    report = structural_bound_trial(spec, stream_draws(5))
     assert streams == [0, 1]
     assert report.retries == 1 and expected.retries == 0
     assert report == dataclasses.replace(expected, retries=1)
@@ -567,7 +567,7 @@ def test_structural_bound_trial_redraws_a_krylov_breakdown(monkeypatch):
     import rsbl.robustness
 
     spec = bound_verify_spec(2, 3, sample_stream(43, 0))
-    expected = structural_bound_trial(spec, seed=5, base_stream=1)
+    expected = structural_bound_trial(spec, stream_draws(5, 1))
     krylov = rsbl.robustness.tan_angle_krylov
     calls = []
 
@@ -578,7 +578,7 @@ def test_structural_bound_trial_redraws_a_krylov_breakdown(monkeypatch):
         return krylov(spec, omega, steps)
 
     monkeypatch.setattr(rsbl.robustness, "tan_angle_krylov", first_call_breaks_down)
-    report = structural_bound_trial(spec, seed=5)
+    report = structural_bound_trial(spec, stream_draws(5))
     assert calls == [3, 3]
     assert report.retries == 1 and expected.retries == 0
     assert report == dataclasses.replace(expected, retries=1)
@@ -628,24 +628,30 @@ def test_sandwich_random_pairs():
 
 
 def test_probe_scalar_multiple_blocks():
-    q = probe_solvent_difference(
-        2.0 * np.ones(2), 5.0 * np.ones(2), 50, master_seed=0, key="probe"
-    )
-    for v in q.values():
-        assert v == pytest.approx(3.0, rel=1e-10)
+    # a scalar spectrum conjugates to itself whatever the eigenvectors, so the
+    # probe's difference of two such solvents is the spectra's difference
+    rng = sample_stream(0, 0)
+    om_i, om_j = rng.standard_normal((2, 50, 2, 2))
+    diff = conjugate(om_i, 2.0 * np.ones(2)) - conjugate(om_j, 5.0 * np.ones(2))
+    assert smallest_singular(diff) == pytest.approx(np.full(50, 3.0), rel=1e-10)
+
+
+def _probe_values(**config) -> list:
+    (_, header, rows), = run_probe(ExperimentConfig(**config)).outputs
+    assert header == ("quantile", "value")
+    assert [q for q, _ in rows] == [0.01, 0.25, 0.5, 0.75, 0.99]
+    return [v for _, v in rows]
 
 
 def test_probe_b1_exact():
-    q = probe_solvent_difference([1.0], [4.5], 50, master_seed=1, key="probe")
-    values = list(q.values())
-    assert all(v == pytest.approx(3.5, abs=1e-12) for v in values)
+    # at b = 1 the solvents are the scalars 1 and 3 whatever the draws
+    assert _probe_values(b_list=(1,), trials=50, seed=1) == pytest.approx([2.0] * 5, abs=1e-12)
 
 
 def test_probe_quantiles_monotone():
-    q = probe_solvent_difference([1.0, 2.0], [3.0, 4.0], 300, master_seed=2, key="probe")
-    ordered = [q[k] for k in sorted(q)]
-    assert ordered == sorted(ordered)
-    assert ordered[0] > 0.0
+    values = _probe_values(b_list=(2,), trials=300, seed=2)
+    assert values == sorted(values)
+    assert values[0] > 0.0
 
 
 def test_chebyshev_value_closed_form():
@@ -710,15 +716,19 @@ def test_lowrank_diag_preset_observed_within():
 
 
 def test_conjecture_experiment_single_trial_is_observation():
-    # 12 is divisible by every d of the alpha sweep (2, 3 and 4)
-    family = ExperimentFamily(sweep="alpha", variant="exterior", n=120, cluster_dim=12)
-    out = conjecture_experiment(family, 1, master_seed=3)
-    assert [(row.d, row.sweep_value) for row in out] == [
-        (d, value) for d in family.d_values for value in family.sweep_values
-    ]
-    assert all(row.median == row.q25 == row.q75 for row in out)
-    again = conjecture_experiment(family, 1, master_seed=3)
-    assert [row.median for row in out] == [row.median for row in again]
+    # one trial per sweep point: its median and quartiles are that trial's tangent
+    config = ExperimentConfig(n=72, cluster_dim=60, variant="exterior", trials=1, seed=3)
+    result = run_cluster_robustness(config)
+    for sweep in ("beta", "alpha"):
+        family = ExperimentFamily(sweep=sweep, variant="exterior", n=72, cluster_dim=60)
+        name, header, rows = result.outputs[("beta", "alpha").index(sweep)]
+        assert name == f"cluster_exterior_{sweep}.csv"
+        assert header == ("d", "abscissa", "relgap", "median", "q25", "q75", "trials")
+        assert [row[:2] for row in rows] == [
+            (d, value) for d in family.d_values for value in family.sweep_values
+        ]
+        assert all(row[3] == row[4] == row[5] and row[6] == 1 for row in rows)
+    assert run_cluster_robustness(config).outputs[:2] == result.outputs[:2]
 
 
 def test_experiment_family_spec_layout():

@@ -6,10 +6,12 @@ patches three methods to count matvecs, block steps and Ritz checks, and
 counts breakdowns through ``rsbl.BreakdownError``; a rename or removal
 there would break the benchmark (or silently zero its counters) without
 failing any other test. One more test holds the README's table of config
-keys to the fields of ``ExperimentConfig``.
+keys to the fields of ``ExperimentConfig``, and another the layering that
+leaves every seed and stream key to ``rsbl.experiments``.
 """
 import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from rsbl.config import ExperimentConfig, sample_stream
 from rsbl.experiments import bound_verify_spec
 from rsbl.linalg import gaussian_matrix
 
-from helpers import import_perfbench
+from helpers import import_perfbench, stream_draws
 
 
 def test_span_functions_resolve():
@@ -94,6 +96,19 @@ def test_readme_config_table_lists_every_key():
     assert keys == [f.name for f in dataclasses.fields(ExperimentConfig)]
 
 
+def test_robustness_computes_from_generators_alone():
+    # every seed, stream key and redraw budget lives in rsbl.experiments;
+    # rsbl.robustness takes the Generators it draws from
+    robustness = vars(rsbl.robustness)
+    assert not {"sample_stream", "derive_stream_id"} & robustness.keys()
+    assert [name for name, value in robustness.items()
+            if getattr(value, "__module__", None) == "rsbl.config"] == []
+    for name, value in robustness.items():
+        if inspect.isfunction(value) and value.__module__ == "rsbl.robustness" and name[0] != "_":
+            params = inspect.signature(value).parameters
+            assert not {"seed", "master_seed", "key", "base_stream"} & params.keys(), name
+
+
 # Per workload: config keys that shrink its pinned config, and the trials one
 # run makes per --trials unit (table1 cells; cluster-robustness sweep points of
 # one variant, 48 beta and 30 alpha; bound-verify (b, d) pairs).
@@ -141,7 +156,7 @@ def test_matpoly_spans_called_through_robustness(monkeypatch):
 
         monkeypatch.setattr(rsbl.robustness, attr, counted)
     spec = bound_verify_spec(3, 3, sample_stream(7, 0))
-    report = rsbl.robustness.structural_bound_trial(spec, seed=7, grid_size=100)
+    report = rsbl.robustness.structural_bound_trial(spec, stream_draws(7), 100)
     assert report.retries == 0
     assert calls == dict.fromkeys(names, 1)
 
